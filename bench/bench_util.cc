@@ -161,8 +161,8 @@ EvalResult EvalOrDie(const Program& program, const Database& edb,
   EngineOptions engine_options;
   engine_options.eval = options;
   // Budget overrides from the environment, so long-running experiment
-  // sweeps can be bounded without recompiling (EXDL_BUDGET_* or the legacy
-  // EXDL_BENCH_* names; explicit options win — see EvalBudget::FromEnv).
+  // sweeps can be bounded without recompiling (EXDL_BUDGET_*; explicit
+  // options win — see EvalBudget::FromEnv).
   // A tripped budget is recorded in the JSON row (`budget_tripped`), not
   // fatal — the partial-result stats are still a valid data point.
   engine_options.eval.budget = EvalBudget::FromEnv(options.budget);

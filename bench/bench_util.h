@@ -8,10 +8,10 @@
 // counts), so successive PRs have a perf trajectory to diff against.
 //
 // The helpers route through exdl::Engine. EvalOrDie fills unset budget
-// limits from the environment (EXDL_BUDGET_* / legacy EXDL_BENCH_* — see
-// EvalBudget::FromEnv), and with EXDL_BENCH_METRICS=1 it turns on the
-// engine telemetry sink and folds the full telemetry document (per-rule
-// rows, metrics, spans) into the bench's JSON row under "telemetry".
+// limits from the environment (EXDL_BUDGET_* — see EvalBudget::FromEnv),
+// and with EXDL_BENCH_METRICS=1 it turns on the engine telemetry sink and
+// folds the full telemetry document (per-rule rows, metrics, spans) into
+// the bench's JSON row under "telemetry".
 // Telemetry is off by default so benches measure the untraced path.
 
 #ifndef EXDL_BENCH_BENCH_UTIL_H_

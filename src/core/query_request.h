@@ -44,9 +44,9 @@ struct QueryRequest {
   /// disconnect). Overrides any token in `budget`.
   CancellationToken* cancellation = nullptr;
   /// Per-request physical representation override (DESIGN.md §14). When
-  /// set it replaces the service template's mode for this query — and
-  /// feeds the program-cache key, so a kTuple request never receives an
-  /// artifact compiled for kBitset telemetry.
+  /// set it replaces the service template's mode for this query. Not part
+  /// of the program-cache key: the compiled artifact is the same in
+  /// every representation.
   std::optional<Representation> representation;
   /// Admission-control identity the request was admitted under; "" means
   /// the default quota. The daemon stamps this from the connection's

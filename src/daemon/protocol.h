@@ -267,17 +267,18 @@ Status Decode(std::string_view body, ErrorMsg* out);
 Status StatusFromWire(uint32_t code, std::string message);
 
 /// SubmitMsg::representation codec: 0 means "server default", any other
-/// value is 1 + the Representation enumerator. FromWire rejects values
-/// this build does not know (nullopt), so a newer client cannot smuggle
-/// an out-of-range enum into the evaluator.
+/// value is 1 + the Representation enumerator (2 = tuple, 3 = bitset).
+/// FromWire rejects every other value (nullopt), so a client cannot
+/// smuggle an out-of-range enum into the evaluator.
 inline uint8_t RepresentationToWire(Representation r) {
   return static_cast<uint8_t>(static_cast<uint8_t>(r) + 1);
 }
 inline std::optional<Representation> RepresentationFromWire(uint8_t wire) {
-  if (wire == 0 || wire > 1 + static_cast<uint8_t>(Representation::kBitset)) {
+  const auto r = static_cast<Representation>(wire - 1);
+  if (r != Representation::kTuple && r != Representation::kBitset) {
     return std::nullopt;
   }
-  return static_cast<Representation>(wire - 1);
+  return r;
 }
 
 // ---------------------------------------------------------------------------

@@ -293,6 +293,14 @@ Status DaemonServer::ServerWriteFrame(int fd, std::string_view payload) {
   return WriteFrame(fd, payload);
 }
 
+Status DaemonServer::WriteError(int fd, StatusCode code,
+                                std::string message) {
+  ErrorMsg err;
+  err.code = static_cast<uint32_t>(code);
+  err.message = std::move(message);
+  return ServerWriteFrame(fd, Encode(err));
+}
+
 void DaemonServer::HandleConnection(uint64_t conn_id, int fd) {
   Connection conn;
   conn.id = conn_id;
@@ -314,19 +322,14 @@ void DaemonServer::HandleConnection(uint64_t conn_id, int fd) {
       const uint32_t version =
           std::min(kProtocolVersionMax, hello.max_version);
       if (version < kProtocolVersionMin || version < hello.min_version) {
-        ErrorMsg err;
-        err.code = static_cast<uint32_t>(StatusCode::kFailedPrecondition);
-        err.message = "no common protocol version (server speaks " +
-                      std::to_string(kProtocolVersionMin) + ".." +
-                      std::to_string(kProtocolVersionMax) + ")";
-        ServerWriteFrame(fd, Encode(err));
-        status = Status::FailedPrecondition(err.message);
+        status = Status::FailedPrecondition(
+            "no common protocol version (server speaks " +
+            std::to_string(kProtocolVersionMin) + ".." +
+            std::to_string(kProtocolVersionMax) + ")");
+        WriteError(fd, status.code(), status.message());
       } else if (draining()) {
-        ErrorMsg err;
-        err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-        err.message = "server is draining";
-        ServerWriteFrame(fd, Encode(err));
-        status = Status::Unavailable(err.message);
+        status = Status::Unavailable("server is draining");
+        WriteError(fd, status.code(), status.message());
       } else {
         SetRecvTimeout(fd, 0);
         conn.tenant = hello.tenant;
@@ -400,12 +403,9 @@ Status DaemonServer::ServeFrames(Connection& conn) {
         if (conn.version < 2) {
           // Known-but-too-new type on a v1 connection: a protocol error
           // the client caused, not a reason to drop it.
-          ErrorMsg err;
-          err.code = static_cast<uint32_t>(StatusCode::kFailedPrecondition);
-          err.message =
-              "standing queries need protocol version 2 (connection "
-              "negotiated 1)";
-          status = ServerWriteFrame(conn.fd, Encode(err));
+          status = WriteError(conn.fd, StatusCode::kFailedPrecondition,
+                              "standing queries need protocol version 2 "
+                              "(connection negotiated 1)");
           break;
         }
         if (frame.type == MsgType::kRegisterQuery) {
@@ -417,34 +417,17 @@ Status DaemonServer::ServeFrames(Connection& conn) {
         }
         break;
       }
-      default: {
-        ErrorMsg err;
-        err.code = static_cast<uint32_t>(StatusCode::kInvalidArgument);
-        err.message = "unexpected message type from client";
-        status = ServerWriteFrame(conn.fd, Encode(err));
+      default:
+        status = WriteError(conn.fd, StatusCode::kInvalidArgument,
+                            "unexpected message type from client");
         break;
-      }
     }
     if (!status.ok()) return status;
   }
 }
 
-Status DaemonServer::HandleSubmit(Connection& conn, std::string_view body) {
-  SubmitMsg submit;
-  Status decoded = Decode(body, &submit);
-  if (!decoded.ok()) return decoded;  // Protocol violation: drop the peer.
-  if (draining()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-    err.message = "server is draining";
-    return ServerWriteFrame(conn.fd, Encode(err));
-  }
-  if (FaultAt("daemon.dispatch")) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-    err.message = "injected fault at daemon.dispatch";
-    return ServerWriteFrame(conn.fd, Encode(err));
-  }
+bool DaemonServer::Admit(Connection& conn, SubmitMsg& submit,
+                         QueryRequest* request, Status* replied) {
   AdmissionController::Decision decision = admission_.TryAdmit(
       conn.tenant, submit.deadline_ms, submit.max_tuples, submit.max_bytes);
   if (!decision.admitted) {
@@ -455,45 +438,56 @@ Status DaemonServer::HandleSubmit(Connection& conn, std::string_view body) {
     RetryLaterMsg retry;
     retry.backoff_ms = decision.retry_after_ms;
     retry.reason = decision.reason;
-    return ServerWriteFrame(conn.fd, Encode(retry));
+    *replied = ServerWriteFrame(conn.fd, Encode(retry));
+    return false;
   }
-  auto token = std::make_shared<CancellationToken>();
-  QueryRequest request;
-  request.source = std::move(submit.source);
-  request.name = std::move(submit.name);
-  request.tenant = conn.tenant;
+  request->source = std::move(submit.source);
+  request->name = std::move(submit.name);
+  request->tenant = conn.tenant;
   EvalBudget budget;
   budget.deadline_ms = decision.effective.deadline_ms;
   budget.max_tuples = decision.effective.max_tuples;
   budget.max_arena_bytes = decision.effective.max_bytes;
-  budget.cancellation = token.get();
-  request.budget = budget;
-  request.cancellation = token.get();
+  request->budget = budget;
   if (submit.representation != 0) {
-    std::optional<Representation> repr =
-        RepresentationFromWire(submit.representation);
-    if (!repr.has_value()) {
+    request->representation = RepresentationFromWire(submit.representation);
+    if (!request->representation.has_value()) {
       admission_.Release(conn.tenant);
-      ErrorMsg err;
-      err.code = static_cast<uint32_t>(StatusCode::kInvalidArgument);
-      err.message = "unknown representation wire value " +
-                    std::to_string(submit.representation);
-      return ServerWriteFrame(conn.fd, Encode(err));
+      *replied = WriteError(conn.fd, StatusCode::kInvalidArgument,
+                            "unknown representation wire value " +
+                                std::to_string(submit.representation));
+      return false;
     }
-    request.representation = repr;
   }
-  const QueryService::Ticket ticket = service_.Submit(std::move(request));
-  conn.inflight.emplace(ticket, std::move(token));
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.submits_admitted;
-    counters_.queue_depth = admission_.inflight();
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  ++counters_.submits_admitted;
+  counters_.queue_depth = admission_.inflight();
+  return true;
+}
+
+Status DaemonServer::HandleSubmit(Connection& conn, std::string_view body) {
+  SubmitMsg submit;
+  Status decoded = Decode(body, &submit);
+  if (!decoded.ok()) return decoded;  // Protocol violation: drop the peer.
+  if (draining()) {
+    return WriteError(conn.fd, StatusCode::kUnavailable, "server is draining");
   }
+  if (FaultAt("daemon.dispatch")) {
+    return WriteError(conn.fd, StatusCode::kUnavailable,
+                      "injected fault at daemon.dispatch");
+  }
+  QueryRequest request;
+  Status replied;
+  if (!Admit(conn, submit, &request, &replied)) return replied;
+  auto token = std::make_shared<CancellationToken>();
+  request.budget->cancellation = token.get();
+  request.cancellation = token.get();
   TicketMsg reply;
-  reply.ticket = ticket;
-  reply.deadline_ms = decision.effective.deadline_ms;
-  reply.max_tuples = decision.effective.max_tuples;
-  reply.max_bytes = decision.effective.max_bytes;
+  reply.deadline_ms = request.budget->deadline_ms;
+  reply.max_tuples = request.budget->max_tuples;
+  reply.max_bytes = request.budget->max_arena_bytes;
+  reply.ticket = service_.Submit(std::move(request));
+  conn.inflight.emplace(reply.ticket, std::move(token));
   return ServerWriteFrame(conn.fd, Encode(reply));
 }
 
@@ -502,11 +496,9 @@ Status DaemonServer::HandleAwait(Connection& conn, std::string_view body) {
   Status decoded = Decode(body, &await);
   if (!decoded.ok()) return decoded;
   if (conn.inflight.find(await.ticket) == conn.inflight.end()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kNotFound);
-    err.message = "ticket " + std::to_string(await.ticket) +
-                  " is not in flight on this connection";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(conn.fd, StatusCode::kNotFound,
+                      "ticket " + std::to_string(await.ticket) +
+                          " is not in flight on this connection");
   }
   std::optional<QueryResponse> response;
   while (true) {
@@ -547,28 +539,21 @@ Status DaemonServer::HandleLoadFacts(Connection& conn, std::string_view body) {
   Status decoded = Decode(body, &msg);
   if (!decoded.ok()) return decoded;
   if (draining()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-    err.message = "server is draining";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(conn.fd, StatusCode::kUnavailable, "server is draining");
   }
   if (options_.max_facts_bytes != 0 &&
       msg.source.size() > options_.max_facts_bytes) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kResourceExhausted);
-    err.message = "LOAD_FACTS source of " + std::to_string(msg.source.size()) +
-                  " bytes exceeds the server's --max-facts-bytes quota (" +
-                  std::to_string(options_.max_facts_bytes) + ")";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(
+        conn.fd, StatusCode::kResourceExhausted,
+        "LOAD_FACTS source of " + std::to_string(msg.source.size()) +
+            " bytes exceeds the server's --max-facts-bytes quota (" +
+            std::to_string(options_.max_facts_bytes) + ")");
   }
   Status loaded = service_.LoadFacts(msg.source);
   if (loaded.ok()) {
     return ServerWriteFrame(conn.fd, EncodeEmpty(MsgType::kOk));
   }
-  ErrorMsg err;
-  err.code = static_cast<uint32_t>(loaded.code());
-  err.message = loaded.message();
-  return ServerWriteFrame(conn.fd, Encode(err));
+  return WriteError(conn.fd, loaded.code(), loaded.message());
 }
 
 Status DaemonServer::HandleCancel(Connection& conn, std::string_view body) {
@@ -577,11 +562,9 @@ Status DaemonServer::HandleCancel(Connection& conn, std::string_view body) {
   if (!decoded.ok()) return decoded;
   const auto it = conn.inflight.find(msg.ticket);
   if (it == conn.inflight.end()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kNotFound);
-    err.message = "ticket " + std::to_string(msg.ticket) +
-                  " is not in flight on this connection";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(conn.fd, StatusCode::kNotFound,
+                      "ticket " + std::to_string(msg.ticket) +
+                          " is not in flight on this connection");
   }
   it->second->Cancel();
   // The ticket stays in flight: the client may still AWAIT it for the
@@ -595,55 +578,15 @@ Status DaemonServer::HandleRegisterQuery(Connection& conn,
   Status decoded = Decode(body, &msg);
   if (!decoded.ok()) return decoded;  // Protocol violation: drop the peer.
   if (draining()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-    err.message = "server is draining";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(conn.fd, StatusCode::kUnavailable, "server is draining");
   }
   // The seeding evaluation is a full query: it takes an admission slot
   // under the tenant's quota like any SUBMIT, held for the (synchronous)
   // registration. Maintenance afterwards is server-internal and not
   // admission-controlled.
-  AdmissionController::Decision decision =
-      admission_.TryAdmit(conn.tenant, msg.submit.deadline_ms,
-                          msg.submit.max_tuples, msg.submit.max_bytes);
-  if (!decision.admitted) {
-    {
-      std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.backpressure_events;
-    }
-    RetryLaterMsg retry;
-    retry.backoff_ms = decision.retry_after_ms;
-    retry.reason = decision.reason;
-    return ServerWriteFrame(conn.fd, Encode(retry));
-  }
   QueryRequest request;
-  request.source = std::move(msg.submit.source);
-  request.name = std::move(msg.submit.name);
-  request.tenant = conn.tenant;
-  EvalBudget budget;
-  budget.deadline_ms = decision.effective.deadline_ms;
-  budget.max_tuples = decision.effective.max_tuples;
-  budget.max_arena_bytes = decision.effective.max_bytes;
-  request.budget = budget;
-  if (msg.submit.representation != 0) {
-    std::optional<Representation> repr =
-        RepresentationFromWire(msg.submit.representation);
-    if (!repr.has_value()) {
-      admission_.Release(conn.tenant);
-      ErrorMsg err;
-      err.code = static_cast<uint32_t>(StatusCode::kInvalidArgument);
-      err.message = "unknown representation wire value " +
-                    std::to_string(msg.submit.representation);
-      return ServerWriteFrame(conn.fd, Encode(err));
-    }
-    request.representation = repr;
-  }
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.submits_admitted;
-    counters_.queue_depth = admission_.inflight();
-  }
+  Status replied;
+  if (!Admit(conn, msg.submit, &request, &replied)) return replied;
   Result<uint64_t> registered =
       service_.RegisterStandingQuery(std::move(request));
   admission_.Release(conn.tenant);
@@ -652,10 +595,8 @@ Status DaemonServer::HandleRegisterQuery(Connection& conn,
     counters_.queue_depth = admission_.inflight();
   }
   if (!registered.ok()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(registered.status().code());
-    err.message = registered.status().message();
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(conn.fd, registered.status().code(),
+                      registered.status().message());
   }
   Result<StandingQueryResult> seeded = service_.PollStandingQuery(*registered);
   RegisteredMsg reply;
@@ -677,10 +618,7 @@ Status DaemonServer::HandleUnregisterQuery(Connection& conn,
   if (unregistered.ok()) {
     return ServerWriteFrame(conn.fd, EncodeEmpty(MsgType::kOk));
   }
-  ErrorMsg err;
-  err.code = static_cast<uint32_t>(unregistered.code());
-  err.message = unregistered.message();
-  return ServerWriteFrame(conn.fd, Encode(err));
+  return WriteError(conn.fd, unregistered.code(), unregistered.message());
 }
 
 Status DaemonServer::HandlePollResult(Connection& conn,
@@ -691,10 +629,8 @@ Status DaemonServer::HandlePollResult(Connection& conn,
   Result<StandingQueryResult> polled =
       service_.PollStandingQuery(msg.standing_id);
   if (!polled.ok()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(polled.status().code());
-    err.message = polled.status().message();
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(conn.fd, polled.status().code(),
+                      polled.status().message());
   }
   StandingResultMsg reply;
   reply.standing_id = polled->standing_id;

@@ -162,6 +162,14 @@ class DaemonServer {
   Status HandleCancel(Connection& conn, std::string_view body);
   Status HandleStats(Connection& conn);
   Status HandleShutdown(Connection& conn);
+  /// The admission step shared by SUBMIT and REGISTER_QUERY: takes a slot
+  /// under the tenant's quota and builds `*request` from `submit` (the
+  /// admitted limits as its budget, the requested representation). On
+  /// refusal it replies instead — RETRY_LATER when not admitted, ERROR
+  /// (slot released) for an unknown representation — stores the write's
+  /// status in `*replied`, and returns false.
+  bool Admit(Connection& conn, SubmitMsg& submit, QueryRequest* request,
+             Status* replied);
   /// Cancels every undelivered ticket of `conn`, drains their responses,
   /// and releases their admission slots.
   void ReclaimConnection(Connection& conn);
@@ -170,6 +178,8 @@ class DaemonServer {
   /// sites (server side only).
   Status ServerReadFrame(int fd, Frame* out, bool* clean_eof);
   Status ServerWriteFrame(int fd, std::string_view payload);
+  /// Replies with an ERROR frame.
+  Status WriteError(int fd, StatusCode code, std::string message);
 
   Status BindUnix();
   Status BindTcp();

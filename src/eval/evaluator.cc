@@ -55,39 +55,17 @@ EvalBudget EvalBudget::FromFlags(uint64_t deadline_ms, uint64_t max_tuples,
   return b;
 }
 
-EvalBudget EvalBudget::FromEnv() { return FromEnv(EvalBudget()); }
-
 EvalBudget EvalBudget::FromEnv(EvalBudget base) {
-  // Every budget consumer (exdlc, bench_util, the query service) funnels
-  // through this one call site, so the legacy-name deprecation fires at
-  // most once per process regardless of how many budgets are resolved.
-  static std::atomic<bool> warned_legacy{false};
-  auto env_u64 = [&](const char* primary, const char* legacy) -> uint64_t {
-    const char* v = std::getenv(primary);
-    if (v == nullptr || *v == '\0') {
-      v = std::getenv(legacy);
-      if (v != nullptr && *v != '\0' &&
-          !warned_legacy.exchange(true, std::memory_order_relaxed)) {
-        std::fprintf(stderr,
-                     "warning: %s is deprecated; use the EXDL_BUDGET_* "
-                     "names (see evaluator.h precedence table)\n",
-                     legacy);
-      }
-    }
-    if (v == nullptr || *v == '\0') return 0;
-    return std::strtoull(v, nullptr, 10);
+  auto env_u64 = [](const char* name) -> uint64_t {
+    const char* v = std::getenv(name);
+    return v == nullptr ? 0 : std::strtoull(v, nullptr, 10);
   };
   if (base.deadline_ms == 0) {
-    base.deadline_ms =
-        env_u64("EXDL_BUDGET_DEADLINE_MS", "EXDL_BENCH_DEADLINE_MS");
+    base.deadline_ms = env_u64("EXDL_BUDGET_DEADLINE_MS");
   }
-  if (base.max_tuples == 0) {
-    base.max_tuples =
-        env_u64("EXDL_BUDGET_MAX_TUPLES", "EXDL_BENCH_MAX_TUPLES");
-  }
+  if (base.max_tuples == 0) base.max_tuples = env_u64("EXDL_BUDGET_MAX_TUPLES");
   if (base.max_arena_bytes == 0) {
-    base.max_arena_bytes =
-        env_u64("EXDL_BUDGET_MAX_ARENA_BYTES", "EXDL_BENCH_MAX_BYTES");
+    base.max_arena_bytes = env_u64("EXDL_BUDGET_MAX_ARENA_BYTES");
   }
   return base;
 }
@@ -419,126 +397,128 @@ class Engine {
       }
     }
 
-    Clock::time_point round_begin;
     SizeMap delta_lo;
-    const bool resuming = options_.resume != nullptr &&
-                          stratum_index == options_.resume->stratum;
-    if (resuming) {
+    bool round0 = true;
+    if (options_.resume != nullptr &&
+        stratum_index == options_.resume->stratum) {
       // The checkpoint was cut at a completed round boundary of this
       // stratum (round 0 included): skip straight to the delta loop with
       // the snapshot's watermarks. Predicates absent from the cursor have
       // no delta (watermark == current size).
+      round0 = false;
       delta_lo = sizes_;
       for (const auto& [pred, lo] : options_.resume->delta_lo) {
         delta_lo[pred] = lo;
       }
-    } else {
-      // Round 0: fire every rule of the stratum over the full database.
-      // sizes_ only changes at FinishRound's flush, so within a round it
-      // IS the pre-round snapshot — variants read it directly, no copy.
-      round_begin = Clock::now();
-      round_derivations_.store(0, std::memory_order_relaxed);
-      delta_lo = sizes_;
-      {
-        SpanGuard round_span(
-            obs_.t, obs_.t != nullptr
-                        ? "round:" + std::to_string(stats_.rounds)
-                        : std::string());
-        for (size_t i : rule_indices) {
-          FireVariant(rules_[i], /*delta_step=*/kNoDelta, sizes_, sizes_);
-        }
-        if (Tripped()) {
-          DiscardRound();
-          return Status::Ok();
-        }
-        FinishRound(round_begin, round_span.id);
-      }
-      if (!injected_.ok()) return injected_;
-      EXDL_RETURN_IF_ERROR(MaybeCheckpoint(stratum_index, delta_lo));
-      if (governed_ && CheckRoundBudgets()) return Status::Ok();
     }
-
-    *stop = ShouldStopOnGroundQuery();
-    while (!*stop) {
-      // Converged when no live rule has a non-empty delta to consume. A
-      // predicate can grow without any rule reading it (e.g. the query
-      // head); firing a round for it would flush nothing — semi-naive
-      // skips that empty trailing round, naive must keep refiring until
-      // nothing grows at all.
-      bool any_delta = false;
-      if (options_.seminaive) {
-        for (size_t k = 0; k < rule_indices.size() && !any_delta; ++k) {
-          const CompiledRule& cr = rules_[rule_indices[k]];
-          if (retired_.count(cr.rule_index) > 0) continue;
-          for (size_t step : delta_steps_of[k]) {
-            PredId p = cr.plan.steps[step].pred;
-            auto sit = sizes_.find(p);
-            const uint32_t sz = sit == sizes_.end() ? 0 : sit->second;
-            auto dit = delta_lo.find(p);
-            if ((dit == delta_lo.end() ? 0 : dit->second) < sz) {
+    for (;; round0 = false) {
+      if (!round0) {
+        *stop = ShouldStopOnGroundQuery();
+        if (*stop) break;
+        // Converged when no live rule has a non-empty delta to consume. A
+        // predicate can grow without any rule reading it (e.g. the query
+        // head); firing a round for it would flush nothing — semi-naive
+        // skips that empty trailing round, naive must keep refiring until
+        // nothing grows at all.
+        bool any_delta = false;
+        if (options_.seminaive) {
+          for (size_t k = 0; k < rule_indices.size() && !any_delta; ++k) {
+            const CompiledRule& cr = rules_[rule_indices[k]];
+            if (retired_.count(cr.rule_index) > 0) continue;
+            for (size_t step : delta_steps_of[k]) {
+              const PredId p = cr.plan.steps[step].pred;
+              if (!DeltaRange(p, sizes_, delta_lo).empty()) {
+                any_delta = true;
+                break;
+              }
+            }
+          }
+        } else {
+          for (const auto& [pred, sz] : sizes_) {
+            if (is_growing(pred) && delta_lo[pred] < sz) {
               any_delta = true;
               break;
             }
           }
         }
-      } else {
-        for (const auto& [pred, sz] : sizes_) {
-          if (is_growing(pred) && delta_lo[pred] < sz) {
-            any_delta = true;
-            break;
-          }
+        if (!any_delta) break;
+        if (options_.max_rounds != 0 &&
+            stats_.rounds >= options_.max_rounds) {
+          return Status::FailedPrecondition(
+              "fixpoint did not converge within max_rounds");
         }
       }
-      if (!any_delta) break;
-      if (options_.max_rounds != 0 && stats_.rounds >= options_.max_rounds) {
-        return Status::FailedPrecondition(
-            "fixpoint did not converge within max_rounds");
-      }
-      round_begin = Clock::now();
-      round_derivations_.store(0, std::memory_order_relaxed);
-      {
-        SpanGuard round_span(
-            obs_.t, obs_.t != nullptr
-                        ? "round:" + std::to_string(stats_.rounds)
-                        : std::string());
-        for (size_t k = 0; k < rule_indices.size(); ++k) {
-          const CompiledRule& cr = rules_[rule_indices[k]];
-          if (retired_.count(cr.rule_index) > 0) continue;
-          if (options_.seminaive) {
-            // One variant per growing body literal: that literal reads the
-            // delta, the others read the pre-round database.
-            for (size_t step : delta_steps_of[k]) {
-              PredId p = cr.plan.steps[step].pred;
-              auto sit = sizes_.find(p);
-              const uint32_t sz = sit == sizes_.end() ? 0 : sit->second;
-              auto dit = delta_lo.find(p);
-              const uint32_t lo = dit == delta_lo.end() ? 0 : dit->second;
-              if (lo >= sz) continue;  // empty delta
-              FireVariant(cr, step, sizes_, delta_lo);
-            }
-          } else if (!delta_steps_of[k].empty()) {
-            // Naive: refire over full relations (rules with no growing body
-            // literal can produce nothing new after round 0).
-            FireVariant(cr, kNoDelta, sizes_, sizes_);
-          }
-        }
-        if (Tripped()) {
-          // Mid-round trip: drop the partial round so the database stays at
-          // the last round boundary (a consistent prefix of the fixpoint).
-          DiscardRound();
-          return Status::Ok();
-        }
-        // Advance the watermarks to the pre-flush sizes before FinishRound
-        // mutates sizes_.
-        for (const auto& [pred, sz] : sizes_) delta_lo[pred] = sz;
-        FinishRound(round_begin, round_span.id);
-      }
-      if (!injected_.ok()) return injected_;
-      EXDL_RETURN_IF_ERROR(MaybeCheckpoint(stratum_index, delta_lo));
-      if (governed_ && CheckRoundBudgets()) return Status::Ok();
-      *stop = ShouldStopOnGroundQuery();
+      bool halt = false;
+      EXDL_RETURN_IF_ERROR(RunRound(stratum_index, round0, rule_indices,
+                                    delta_steps_of, delta_lo, &halt));
+      if (halt) break;
     }
     return Status::Ok();
+  }
+
+  /// One fixpoint round, from its span to the round-boundary hooks. Round
+  /// 0 fires every rule of the stratum over the full database; a delta
+  /// round fires the live rules' semi-naive delta variants (or, naive,
+  /// refires them). sizes_ only changes at FinishRound's flush, so within
+  /// a round it IS the pre-round snapshot — variants read it directly, no
+  /// copy. Sets *halt when the fixpoint must stop at this boundary: a
+  /// mid-round trip (the partial round is discarded, so the database
+  /// stays a consistent prefix of the fixpoint) or a tripped budget.
+  Status RunRound(size_t stratum_index, bool round0,
+                  const std::vector<size_t>& rule_indices,
+                  const std::vector<std::vector<size_t>>& delta_steps_of,
+                  SizeMap& delta_lo, bool* halt) {
+    const Clock::time_point round_begin = Clock::now();
+    round_derivations_.store(0, std::memory_order_relaxed);
+    {
+      SpanGuard round_span(
+          obs_.t, obs_.t != nullptr ? "round:" + std::to_string(stats_.rounds)
+                                    : std::string());
+      for (size_t k = 0; k < rule_indices.size(); ++k) {
+        const CompiledRule& cr = rules_[rule_indices[k]];
+        if (!round0 && retired_.count(cr.rule_index) > 0) continue;
+        if (round0 || (!options_.seminaive && !delta_steps_of[k].empty())) {
+          // Round 0, and every naive round, fires over full relations (a
+          // rule with no growing body literal can produce nothing new
+          // after round 0).
+          FireVariant(cr, kNoDelta, sizes_, sizes_);
+        } else {
+          // One variant per growing body literal: that literal reads the
+          // delta, the others read the pre-round database.
+          for (size_t step : delta_steps_of[k]) {
+            const PredId p = cr.plan.steps[step].pred;
+            if (!DeltaRange(p, sizes_, delta_lo).empty()) {
+              FireVariant(cr, step, sizes_, delta_lo);
+            }
+          }
+        }
+      }
+      if (Tripped()) {
+        DiscardRound();
+        *halt = true;
+        return Status::Ok();
+      }
+      // Advance the watermarks to the pre-flush sizes before FinishRound
+      // mutates sizes_.
+      for (const auto& [pred, sz] : sizes_) delta_lo[pred] = sz;
+      FinishRound(round_begin, round_span.id);
+    }
+    if (!injected_.ok()) return injected_;
+    EXDL_RETURN_IF_ERROR(MaybeCheckpoint(stratum_index, delta_lo));
+    *halt = governed_ && CheckRoundBudgets();
+    return Status::Ok();
+  }
+
+  /// Rows [delta_lo[pred], start[pred]) of `pred` — its semi-naive delta
+  /// when `delta_lo` holds the round's watermarks. A predicate missing
+  /// from either map reads as 0 there.
+  static RowRange DeltaRange(PredId pred, const SizeMap& start,
+                             const SizeMap& delta_lo) {
+    auto size_in = [pred](const SizeMap& sizes) -> uint32_t {
+      auto it = sizes.find(pred);
+      return it == sizes.end() ? 0 : it->second;
+    };
+    return RowRange{size_in(delta_lo), size_in(start)};
   }
 
   /// Validates and installs the resume cursor: restores counters, retired
@@ -640,15 +620,24 @@ class Engine {
                                   std::memory_order_relaxed);
   }
 
-  /// Round-boundary check of every budget. The database was just flushed,
-  /// so tripping here leaves a consistent state. Returns true if tripped.
-  bool CheckRoundBudgets() {
+  /// Trips on cancellation or an expired deadline — the budgets that can
+  /// fire between round boundaries. Returns true if tripped.
+  bool CheckInterrupt() {
     const EvalBudget& b = options_.budget;
     if (b.cancellation != nullptr && b.cancellation->cancelled()) {
       Trip(BudgetKind::kCancelled);
     } else if (b.deadline_ms != 0 && Clock::now() >= deadline_) {
       Trip(BudgetKind::kDeadline);
-    } else if (b.max_tuples != 0 && total_tuples_ > b.max_tuples) {
+    }
+    return Tripped();
+  }
+
+  /// Round-boundary check of every budget. The database was just flushed,
+  /// so tripping here leaves a consistent state. Returns true if tripped.
+  bool CheckRoundBudgets() {
+    if (CheckInterrupt()) return true;
+    const EvalBudget& b = options_.budget;
+    if (b.max_tuples != 0 && total_tuples_ > b.max_tuples) {
       Trip(BudgetKind::kTuples);
     } else if (b.max_arena_bytes != 0 && arena_bytes_ > b.max_arena_bytes) {
       Trip(BudgetKind::kArenaBytes);
@@ -656,19 +645,29 @@ class Engine {
     return Tripped();
   }
 
-  /// Mid-round check (every kBudgetCheckStride rows): only the budgets
-  /// that can trip between round boundaries — cancellation and the
-  /// deadline; tuple/byte totals move at flush time only. Returns true if
-  /// this descent should stop enumerating.
-  bool CheckMidRound() {
-    if (Tripped()) return true;
-    const EvalBudget& b = options_.budget;
-    if (b.cancellation != nullptr && b.cancellation->cancelled()) {
-      Trip(BudgetKind::kCancelled);
-    } else if (b.deadline_ms != 0 && Clock::now() >= deadline_) {
-      Trip(BudgetKind::kDeadline);
+  /// Mid-round check, counted per descent state: every kBudgetCheckStride
+  /// rows of a governed evaluation, poll cancellation and the deadline
+  /// (tuple/byte totals move at flush time only). Returns true if this
+  /// descent should stop enumerating.
+  bool StrideTripped(DescentState& ws) {
+    if (!governed_ || ++ws.rows_since_check < kBudgetCheckStride) {
+      return false;
     }
-    return Tripped();
+    ws.rows_since_check = 0;
+    return Tripped() || CheckInterrupt();
+  }
+
+  /// Counts one head derivation against max_derivations_per_round.
+  /// Returns true (after tripping) when the budget is exhausted and the
+  /// derivation must not be buffered.
+  bool RoundDerivationsTripped() {
+    const uint64_t cap = options_.budget.max_derivations_per_round;
+    if (cap == 0 ||
+        round_derivations_.fetch_add(1, std::memory_order_relaxed) < cap) {
+      return false;
+    }
+    Trip(BudgetKind::kRoundDerivations);
+    return true;
   }
 
   /// Drops the buffered (partial) round after a mid-round trip.
@@ -997,15 +996,8 @@ class Engine {
     std::vector<RowRange>& ranges = ranges_scratch_;  // reused per variant
     ranges.assign(plan.steps.size(), RowRange{0, 0});
     for (size_t s = 0; s < plan.steps.size(); ++s) {
-      PredId p = plan.steps[s].pred;
-      auto it = start.find(p);
-      uint32_t hi = it == start.end() ? 0 : it->second;
-      uint32_t lo = 0;
-      if (s == delta_step) {
-        auto dit = delta_lo.find(p);
-        lo = dit == delta_lo.end() ? 0 : dit->second;
-      }
-      ranges[s] = RowRange{lo, hi};
+      ranges[s] = DeltaRange(plan.steps[s].pred, start, delta_lo);
+      if (s != delta_step) ranges[s].lo = 0;
       // An empty range over a positive literal means the variant cannot
       // match; an empty (or absent) relation under a negated literal is
       // simply a succeeding anti-join.
@@ -1185,12 +1177,7 @@ class Engine {
   /// kernels never run on explain evaluations). Returns false when the
   /// per-round derivation budget tripped and the partition must stop.
   bool EmitHead(const RulePlan& plan, DescentState& ws) {
-    if (options_.budget.max_derivations_per_round != 0 &&
-        round_derivations_.fetch_add(1, std::memory_order_relaxed) >=
-            options_.budget.max_derivations_per_round) {
-      Trip(BudgetKind::kRoundDerivations);
-      return false;
-    }
+    if (RoundDerivationsTripped()) return false;
     for (const ArgSpec& a : plan.head_args) {
       ws.values.push_back(a.kind == ArgSpec::Kind::kConst ? a.const_value
                                                           : ws.regs[a.reg]);
@@ -1300,10 +1287,7 @@ class Engine {
           ((mask[w] >> (v % UnaryBitset::kWordBits)) & 1) == 0) {
         continue;
       }
-      if (governed_ && ++ws.rows_since_check >= kBudgetCheckStride) {
-        ws.rows_since_check = 0;
-        if (CheckMidRound()) return;
-      }
+      if (StrideTripped(ws)) return;
       ws.regs[reg0] = v;
       if (!EmitHead(plan, ws)) return;
     }
@@ -1348,10 +1332,7 @@ class Engine {
       return true;
     };
     for (uint32_t r = outer.lo; r < outer.hi; ++r) {
-      if (governed_ && ++ws.rows_since_check >= kBudgetCheckStride) {
-        ws.rows_since_check = 0;
-        if (CheckMidRound()) return;
-      }
+      if (StrideTripped(ws)) return;
       ++ws.stats.rows_matched;
       const Value* row = arena.data() + static_cast<size_t>(r) * arity;
       for (size_t i = 0; i < outer_step.args.size(); ++i) {
@@ -1413,12 +1394,7 @@ class Engine {
   bool Descend(const RulePlan& plan, const std::vector<RowRange>& ranges,
                size_t step_idx, DescentState& ws) {
     if (step_idx == plan.steps.size()) {
-      if (options_.budget.max_derivations_per_round != 0 &&
-          round_derivations_.fetch_add(1, std::memory_order_relaxed) >=
-              options_.budget.max_derivations_per_round) {
-        Trip(BudgetKind::kRoundDerivations);
-        return false;
-      }
+      if (RoundDerivationsTripped()) return false;
       PendingFact fact;
       fact.pred = plan.head_pred;
       fact.begin = ws.values.size();
@@ -1471,20 +1447,14 @@ class Engine {
       const Value key =
           a.kind == ArgSpec::Kind::kConst ? a.const_value : ws.regs[a.reg];
       if (!step_bits_[step_idx]->Test(key)) return true;
-      if (governed_ && ++ws.rows_since_check >= kBudgetCheckStride) {
-        ws.rows_since_check = 0;
-        if (CheckMidRound()) return false;
-      }
+      if (StrideTripped(ws)) return false;
       ++ws.stats.rows_matched;
       return Descend(plan, ranges, step_idx + 1, ws);
     }
 
     const Relation::View rv = rel->view();
     auto process_row = [&](uint32_t row_id) -> bool {
-      if (governed_ && ++ws.rows_since_check >= kBudgetCheckStride) {
-        ws.rows_since_check = 0;
-        if (CheckMidRound()) return false;
-      }
+      if (StrideTripped(ws)) return false;
       std::span<const Value> row = rv.Scan(row_id);
       ++ws.stats.rows_matched;
       // Bind/check arguments; remember which registers this row bound so we

@@ -376,15 +376,8 @@ void QueryService::ProcessOne(Active& item) {
   if (options_.collect_telemetry) {
     response.telemetry = std::make_shared<obs::Telemetry>();
   }
-  // The request struct is the single source of compile-affecting
-  // overrides: the key and the compile below must see the same effective
-  // options or a cache hit could hand back the wrong artifact.
-  CompileOptions compile_options = options_.compile;
-  if (item.pending.request.representation.has_value()) {
-    compile_options.representation = *item.pending.request.representation;
-  }
-  std::string key =
-      CompiledProgram::CacheKeyMaterial(item.pending.request, options_.compile);
+  std::string key = CompiledProgram::CacheKeyMaterial(
+      item.pending.request.source, options_.compile);
   CompiledProgram::Ptr compiled;
   {
     // Compile turnstile: cache fills and Context interning happen in
@@ -399,7 +392,7 @@ void QueryService::ProcessOne(Active& item) {
     } else {
       item.shard.Add(cache_miss_id_, 1);
       Result<CompiledProgram::Ptr> compile_result = CompiledProgram::Compile(
-          item.pending.request.source, compile_options,
+          item.pending.request.source, options_.compile,
           response.telemetry.get(), ctx_);
       if (compile_result.ok()) {
         compiled = *compile_result;

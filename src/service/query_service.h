@@ -151,20 +151,6 @@ class QueryService {
   /// Enqueues a pipeline of queries in order; one ticket each.
   std::vector<Ticket> SubmitBatch(std::vector<QueryRequest> requests);
 
-  /// Deprecated: the pre-redesign parameter-list form, kept so existing
-  /// call sites compile; forwards to Submit(QueryRequest). New code
-  /// builds a QueryRequest (core/query_request.h) directly.
-  Ticket Submit(std::string source, std::string name,
-                std::optional<EvalBudget> budget,
-                CancellationToken* cancellation = nullptr) {
-    QueryRequest request;
-    request.source = std::move(source);
-    request.name = std::move(name);
-    request.budget = std::move(budget);
-    request.cancellation = cancellation;
-    return Submit(std::move(request));
-  }
-
   /// Registers a standing query (DESIGN.md §16): evaluates `request` once
   /// through the normal Submit path (same turnstile, cache, budget), then
   /// installs the result as a materialized view that every later

@@ -1,9 +1,8 @@
 // Representation: which physical executor a run should use for eligible
-// rules (DESIGN.md §14). kTuple forces the generic arena/index path,
-// kBitset runs bitset-eligible rules through the word-packed unary
-// kernels, kAuto currently behaves like kBitset (the bitset path falls
-// back per-rule wherever it is not eligible, so auto never loses
-// generality). Answers and pre-existing telemetry are byte-identical
+// rules (DESIGN.md §14). kTuple forces the generic arena/index path;
+// kBitset (the default) runs bitset-eligible rules through the
+// word-packed unary kernels and falls back per rule wherever a plan is
+// not eligible. Answers and pre-existing telemetry are byte-identical
 // across representations by contract; only storage.representation.*
 // counters differ.
 
@@ -16,17 +15,14 @@
 namespace exdl {
 
 enum class Representation : uint8_t {
-  kAuto = 0,
   kTuple = 1,
   kBitset = 2,
 };
 
-/// Parses "auto" | "tuple" | "bitset". Returns false (leaving `out`
-/// untouched) on anything else; the CLI maps that to usage exit code 2.
+/// Parses "tuple" | "bitset". Returns false (leaving `out` untouched) on
+/// anything else; the CLI maps that to usage exit code 2.
 inline bool ParseRepresentation(std::string_view text, Representation* out) {
-  if (text == "auto") {
-    *out = Representation::kAuto;
-  } else if (text == "tuple") {
+  if (text == "tuple") {
     *out = Representation::kTuple;
   } else if (text == "bitset") {
     *out = Representation::kBitset;
@@ -37,15 +33,7 @@ inline bool ParseRepresentation(std::string_view text, Representation* out) {
 }
 
 inline const char* RepresentationName(Representation r) {
-  switch (r) {
-    case Representation::kAuto:
-      return "auto";
-    case Representation::kTuple:
-      return "tuple";
-    case Representation::kBitset:
-      return "bitset";
-  }
-  return "auto";
+  return r == Representation::kTuple ? "tuple" : "bitset";
 }
 
 /// True if this run should execute eligible rules on the bitset path.

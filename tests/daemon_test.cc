@@ -783,6 +783,61 @@ TEST_F(DaemonTest, DurableDataDirSurvivesRestart) {
   restarted.Stop();
 }
 
+TEST_F(DaemonTest, UnknownRepresentationIsRejectedAndReleasesItsSlot) {
+  // One admission slot: a rejected request that kept its slot would turn
+  // every later SUBMIT and REGISTER_QUERY into RETRY_LATER.
+  DaemonOptions options = Options();
+  options.policy.default_quota.max_inflight = 1;
+  DaemonServer server(std::move(options));
+  ASSERT_TRUE(server.Start().ok());
+  DaemonClient client;
+  ASSERT_TRUE(client.Connect(endpoint(), "").ok());
+  SubmitMsg submit;
+  submit.name = "q";
+  submit.source = kTinyQuery;
+
+  // 1 was the retired "auto"; 9 was never assigned.
+  for (uint8_t wire : {uint8_t{1}, uint8_t{9}}) {
+    SCOPED_TRACE("wire value " + std::to_string(wire));
+    submit.representation = wire;
+    bool admitted = true;
+    TicketMsg ticket;
+    RetryLaterMsg retry;
+    ErrorMsg error;
+    ASSERT_TRUE(
+        client.Submit(submit, &admitted, &ticket, &retry, &error).ok());
+    EXPECT_FALSE(admitted);
+    EXPECT_EQ(error.code, static_cast<uint32_t>(StatusCode::kInvalidArgument));
+    RegisteredMsg registered;
+    EXPECT_EQ(client.RegisterQuery(submit, &registered).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(server.counters().queue_depth, 0u);
+
+  // 2 (tuple) and 3 (bitset) are still accepted on both paths, each
+  // taking the one slot the rejections gave back.
+  for (uint8_t wire : {uint8_t{2}, uint8_t{3}}) {
+    SCOPED_TRACE("wire value " + std::to_string(wire));
+    submit.representation = wire;
+    bool admitted = false;
+    TicketMsg ticket;
+    RetryLaterMsg retry;
+    ErrorMsg error;
+    ASSERT_TRUE(
+        client.Submit(submit, &admitted, &ticket, &retry, &error).ok());
+    ASSERT_TRUE(admitted) << error.message << retry.reason;
+    ResultMsg result;
+    ASSERT_TRUE(client.Await(ticket.ticket, &result).ok());
+    EXPECT_EQ(result.answers, "b\nc\n");
+    RegisteredMsg registered;
+    ASSERT_TRUE(client.RegisterQuery(submit, &registered).ok());
+    EXPECT_EQ(registered.answers, "b\nc\n");
+  }
+  EXPECT_EQ(server.counters().backpressure_events, 0u);
+  EXPECT_EQ(server.counters().queue_depth, 0u);
+  server.Stop();
+}
+
 TEST_F(DaemonTest, OversizedLoadFactsIsRejectedByQuota) {
   DaemonOptions options = Options();
   options.max_facts_bytes = 16;

@@ -133,8 +133,7 @@ void ExpectPollMatchesCold(QueryService& service, uint64_t id,
 
 TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
   const Representation reps[] = {Representation::kTuple,
-                                 Representation::kBitset,
-                                 Representation::kAuto};
+                                 Representation::kBitset};
   for (uint32_t workers : {1u, 4u}) {
     for (Representation rep : reps) {
       for (uint32_t seed : {7u, 1234u}) {
@@ -171,7 +170,7 @@ TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
 }
 
 TEST(IvmTest, PollReflectsRegistrationSnapshot) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"
@@ -189,7 +188,7 @@ TEST(IvmTest, PollReflectsRegistrationSnapshot) {
 }
 
 TEST(IvmTest, DuplicateLoadIsANoOpGeneration) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"
@@ -209,7 +208,7 @@ TEST(IvmTest, DuplicateLoadIsANoOpGeneration) {
 }
 
 TEST(IvmTest, GroundQueryFlipsAndStays) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"
@@ -229,7 +228,7 @@ TEST(IvmTest, GroundQueryFlipsAndStays) {
 }
 
 TEST(IvmTest, NegationFallsBackToReseedAndStaysCorrect) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c). blocked(c).").ok());
   QueryRequest request{
       "ok(X, Y) :- e(X, Y), not blocked(Y).\n"
@@ -252,7 +251,7 @@ TEST(IvmTest, NegationFallsBackToReseedAndStaysCorrect) {
 }
 
 TEST(IvmTest, UnregisterRetiresTheView) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{"p(X, Y) :- e(X, Y).\n?- p(X, Y).\n", "p"};
   Result<uint64_t> id = service.RegisterStandingQuery(request);
@@ -266,7 +265,7 @@ TEST(IvmTest, UnregisterRetiresTheView) {
 }
 
 TEST(IvmTest, MetricsJsonCarriesIvmObject) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"
@@ -285,7 +284,7 @@ TEST(IvmTest, MetricsJsonCarriesIvmObject) {
 // polls, and unregistrations race on one service; every poll that
 // succeeds must be internally consistent.
 TEST(IvmConcurrencyTest, RegisterLoadPollRace) {
-  QueryService service(MakeOptions(4, Representation::kAuto));
+  QueryService service(MakeOptions(4, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(n0, n1). e(n1, n2).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"

@@ -354,8 +354,8 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
   // A monadic program (every rule bitset-eligible, DESIGN.md §14): the
   // checkpoints cut mid-run carry arity-1 relations whose dedup bitsets
   // are rebuilt on load. Resume must be representation-independent — a
-  // checkpoint written under kBitset resumes under kTuple (and the
-  // default kAuto) to the same converged database.
+  // checkpoint written under kBitset resumes under kTuple (and kBitset
+  // again) to the same converged database.
   auto monadic_source = [](int n) {
     std::string src =
         "reach(Y) :- reach(X), e(X, Y).\n"
@@ -397,8 +397,7 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
   EXPECT_TRUE(has_unary_rows);
 
   for (Representation representation :
-       {Representation::kBitset, Representation::kTuple,
-        Representation::kAuto}) {
+       {Representation::kBitset, Representation::kTuple}) {
     EngineRun resumed = RunEngine(
         source,
         [&](EngineOptions& o) { o.eval.representation = representation; },

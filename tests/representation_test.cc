@@ -52,16 +52,15 @@ void ExpectSameOutcome(const EvalResult& tuple, const EvalResult& bitset) {
   EXPECT_EQ(tuple.stats.budget_tripped, bitset.stats.budget_tripped);
 }
 
-/// Evaluates under every representation x {1, 4} threads and asserts all
-/// six runs agree with the serial tuple run.
+/// Evaluates under both representations x {1, 4} threads and asserts all
+/// four runs agree with the serial tuple run.
 void ExpectRepresentationEquivalent(const Program& program,
                                     const Database& edb) {
   EvalOptions reference_options;
   reference_options.representation = Representation::kTuple;
   EvalResult reference = testing::MustEval(program, edb, reference_options);
   for (Representation representation :
-       {Representation::kTuple, Representation::kBitset,
-        Representation::kAuto}) {
+       {Representation::kTuple, Representation::kBitset}) {
     for (uint32_t threads : {1u, 4u}) {
       EvalOptions options;
       options.representation = representation;

@@ -6,7 +6,7 @@
 //       Print the optimized program and the per-phase report.
 //
 //   exdlc run <file...> [--jobs N] [--naive] [--no-cut] [--optimize]
-//                    [--threads N] [--representation auto|tuple|bitset]
+//                    [--threads N] [--representation tuple|bitset]
 //                    [--deadline-ms N] [--max-tuples N] [--max-bytes N]
 //                    [--checkpoint-dir DIR] [--checkpoint-every-rounds N]
 //                    [--resume FILE] [--trace] [--metrics-json FILE]
@@ -34,12 +34,12 @@
 //       merged service document (with a "service" object); checkpoint/
 //       resume flags are rejected in batch mode.
 //       --representation picks the physical executor (DESIGN.md §14):
-//       "tuple" forces the generic arena/index path, "bitset" runs
-//       eligible monadic rules through the word-packed kernels, "auto"
-//       (the default) behaves like bitset with per-rule fallback. Answers
-//       and all pre-existing output are byte-identical across modes; only
-//       the telemetry document's storage.representation counters differ.
-//       Anything else exits 2.
+//       "tuple" forces the generic arena/index path, "bitset" (the
+//       default) runs eligible monadic rules through the word-packed
+//       kernels with per-rule fallback. Answers and all pre-existing
+//       output are byte-identical across modes; only the telemetry
+//       document's storage.representation counters differ. Anything else
+//       exits 2.
 //
 //   exdlc grammar <file>
 //       For a binary chain program: print the grammar, regularity
@@ -61,7 +61,7 @@
 //                 [--max-bytes N] [--retries N] [--retry-base-ms N]
 //                 [--load-facts FILE] [--stats] [--shutdown]
 //                 [--register] [--poll ID] [--unregister ID]
-//                 [--representation auto|tuple|bitset]
+//                 [--representation tuple|bitset]
 //       Run the files as a batch against a running exdld daemon
 //       (tools/exdld.cc). Output is per file under a "== <file> =="
 //       header, byte-identical to `exdlc run <file...> --jobs 1` against
@@ -348,14 +348,14 @@ std::string FlagString(const std::vector<std::string>& args,
   return fallback;
 }
 
-/// Parses --representation. Absent = auto; an unknown value exits 2 like
+/// Parses --representation. Absent = bitset; an unknown value exits 2 like
 /// every other flag violation.
 Representation FlagRepresentation(const std::vector<std::string>& flags) {
-  const std::string text = FlagString(flags, "--representation", "auto");
-  Representation r = Representation::kAuto;
+  const std::string text = FlagString(flags, "--representation", "bitset");
+  Representation r = Representation::kBitset;
   if (!ParseRepresentation(text, &r)) {
-    std::cerr << "--representation must be auto, tuple, or bitset, got '"
-              << text << "'\n";
+    std::cerr << "--representation must be tuple or bitset, got '" << text
+              << "'\n";
     std::exit(2);
   }
   return r;
@@ -518,9 +518,6 @@ int CmdRunService(const std::vector<std::string>& files,
   options.eval.representation = FlagRepresentation(flags);
   options.compile.seminaive = options.eval.seminaive;
   options.compile.boolean_cut = options.eval.boolean_cut;
-  // Mirrored into the cache key: a cached artifact is only reused by
-  // sessions running the same representation.
-  options.compile.representation = options.eval.representation;
   options.collect_telemetry =
       HasFlag(flags, "--trace") || HasFlag(flags, "--metrics-json");
   std::vector<QueryRequest> requests;
