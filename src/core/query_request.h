@@ -43,11 +43,6 @@ struct QueryRequest {
   /// (the daemon cancels abandoned queries through this on client
   /// disconnect). Overrides any token in `budget`.
   CancellationToken* cancellation = nullptr;
-  /// Per-request physical representation override (DESIGN.md §14). When
-  /// set it replaces the service template's mode for this query. Not part
-  /// of the program-cache key: the compiled artifact is the same in
-  /// every representation.
-  std::optional<Representation> representation;
   /// Admission-control identity the request was admitted under; "" means
   /// the default quota. The daemon stamps this from the connection's
   /// HELLO — the service records it for observability only and applies no

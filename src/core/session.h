@@ -53,10 +53,8 @@ struct RunSummary {
   EvalStats stats;
   size_t answers = 0;
   Status termination;
-  /// Representation counters of the run (DESIGN.md §14); the one summary
-  /// row that is allowed to differ between tuple and bitset runs of the
-  /// same program. Rendered as the telemetry document's top-level
-  /// "storage" object.
+  /// Bitset-kernel counters of the run (DESIGN.md §14). Rendered as the
+  /// telemetry document's top-level "storage" object.
   RepresentationStats representation;
   /// Rule texts captured at evaluation time (telemetry-enabled runs only),
   /// so per-rule export rows label themselves even for borrowed-mode

@@ -29,11 +29,9 @@
 #define EXDL_DAEMON_PROTOCOL_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "storage/representation.h"
 #include "util/status.h"
 
 namespace exdl::daemon {
@@ -50,7 +48,8 @@ inline constexpr uint32_t kProtocolMagic = 0x4C445845u;
 /// Version history:
 ///   1  initial protocol (SUBMIT .. ERROR).
 ///   2  standing queries (REGISTER_QUERY, REGISTERED, UNREGISTER_QUERY,
-///      POLL_RESULT, STANDING_RESULT) and the SUBMIT representation tail.
+///      POLL_RESULT, STANDING_RESULT) and the SUBMIT representation tail
+///      (since retired: the server ignores its known values).
 ///      A v1 peer never sees either: the tail is encoded only on v2
 ///      connections, and the server answers v2-only message types on a
 ///      v1 connection with ERROR (kFailedPrecondition), not a drop.
@@ -118,9 +117,12 @@ struct SubmitMsg {
   uint64_t deadline_ms = 0;
   uint64_t max_tuples = 0;
   uint64_t max_bytes = 0;
-  /// Requested physical representation (protocol >= 2): 0 = server
-  /// default, else 1 + Representation. Encoded only on v2 connections;
-  /// the decoder tolerates its absence, so v1 SUBMIT frames still parse.
+  /// Retired tail byte (protocol >= 2). It once chose the physical
+  /// representation; the engine now picks kernel or descent per rule, so
+  /// the server ignores it. 0, 2 and 3 (the old default, tuple and
+  /// bitset) are accepted, any other value is rejected (see
+  /// IsKnownRepresentationByte). Encoded only on v2 connections; the
+  /// decoder tolerates its absence, so v1 SUBMIT frames still parse.
   uint8_t representation = 0;
 };
 
@@ -266,19 +268,11 @@ Status Decode(std::string_view body, ErrorMsg* out);
 /// kInternal so a newer server cannot make an older client misbehave.
 Status StatusFromWire(uint32_t code, std::string message);
 
-/// SubmitMsg::representation codec: 0 means "server default", any other
-/// value is 1 + the Representation enumerator (2 = tuple, 3 = bitset).
-/// FromWire rejects every other value (nullopt), so a client cannot
-/// smuggle an out-of-range enum into the evaluator.
-inline uint8_t RepresentationToWire(Representation r) {
-  return static_cast<uint8_t>(static_cast<uint8_t>(r) + 1);
-}
-inline std::optional<Representation> RepresentationFromWire(uint8_t wire) {
-  const auto r = static_cast<Representation>(wire - 1);
-  if (r != Representation::kTuple && r != Representation::kBitset) {
-    return std::nullopt;
-  }
-  return r;
+/// True for the values the retired SubmitMsg::representation byte ever
+/// carried in a valid request: 0 (server default), 2 (tuple), 3 (bitset).
+/// The server still rejects every other value, as it always did.
+inline bool IsKnownRepresentationByte(uint8_t wire) {
+  return wire == 0 || wire == 2 || wire == 3;
 }
 
 // ---------------------------------------------------------------------------

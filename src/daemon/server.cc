@@ -428,6 +428,14 @@ Status DaemonServer::ServeFrames(Connection& conn) {
 
 bool DaemonServer::Admit(Connection& conn, SubmitMsg& submit,
                          QueryRequest* request, Status* replied) {
+  // The representation byte is retired: known values are ignored, an
+  // unknown one is a malformed request, refused before it takes a slot.
+  if (!IsKnownRepresentationByte(submit.representation)) {
+    *replied = WriteError(conn.fd, StatusCode::kInvalidArgument,
+                          "unknown representation wire value " +
+                              std::to_string(submit.representation));
+    return false;
+  }
   AdmissionController::Decision decision = admission_.TryAdmit(
       conn.tenant, submit.deadline_ms, submit.max_tuples, submit.max_bytes);
   if (!decision.admitted) {
@@ -449,16 +457,6 @@ bool DaemonServer::Admit(Connection& conn, SubmitMsg& submit,
   budget.max_tuples = decision.effective.max_tuples;
   budget.max_arena_bytes = decision.effective.max_bytes;
   request->budget = budget;
-  if (submit.representation != 0) {
-    request->representation = RepresentationFromWire(submit.representation);
-    if (!request->representation.has_value()) {
-      admission_.Release(conn.tenant);
-      *replied = WriteError(conn.fd, StatusCode::kInvalidArgument,
-                            "unknown representation wire value " +
-                                std::to_string(submit.representation));
-      return false;
-    }
-  }
   std::lock_guard<std::mutex> lock(counters_mu_);
   ++counters_.submits_admitted;
   counters_.queue_depth = admission_.inflight();

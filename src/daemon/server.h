@@ -164,10 +164,10 @@ class DaemonServer {
   Status HandleShutdown(Connection& conn);
   /// The admission step shared by SUBMIT and REGISTER_QUERY: takes a slot
   /// under the tenant's quota and builds `*request` from `submit` (the
-  /// admitted limits as its budget, the requested representation). On
-  /// refusal it replies instead — RETRY_LATER when not admitted, ERROR
-  /// (slot released) for an unknown representation — stores the write's
-  /// status in `*replied`, and returns false.
+  /// admitted limits as its budget). On refusal it replies instead —
+  /// ERROR (no slot taken) for an unknown representation byte,
+  /// RETRY_LATER when not admitted — stores the write's status in
+  /// `*replied`, and returns false.
   bool Admit(Connection& conn, SubmitMsg& submit, QueryRequest* request,
              Status* replied);
   /// Cancels every undelivered ticket of `conn`, drains their responses,

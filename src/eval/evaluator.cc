@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -233,12 +234,6 @@ class Engine {
   /// detach — the property standing-query maintenance depends on.
   Result<EvalResult> RunOwned(Database input) {
     eval_begin_ = Clock::now();
-    // The bitset kernels never record provenance (they have no per-row
-    // descent spine); provenance runs take the generic path for every
-    // rule, counted as fallbacks.
-    use_bitset_ = UseBitsetKernels(options_.representation) &&
-                  !options_.record_provenance;
-    rep_stats_.mode = options_.representation;
     pool_min_delta_rows_ = ResolvePoolMinDeltaRows();
     EXDL_RETURN_IF_ERROR(Compile());
     SetupObs();
@@ -427,7 +422,7 @@ class Engine {
             if (retired_.count(cr.rule_index) > 0) continue;
             for (size_t step : delta_steps_of[k]) {
               const PredId p = cr.plan.steps[step].pred;
-              if (!DeltaRange(p, sizes_, delta_lo).empty()) {
+              if (!DeltaRange(p, delta_lo).empty()) {
                 any_delta = true;
                 break;
               }
@@ -481,15 +476,15 @@ class Engine {
           // Round 0, and every naive round, fires over full relations (a
           // rule with no growing body literal can produce nothing new
           // after round 0).
-          FireVariant(cr, kNoDelta, sizes_, sizes_);
+          FireVariant(cr, cr.plan, std::nullopt);
         } else {
-          // One variant per growing body literal: that literal reads the
-          // delta, the others read the pre-round database.
+          // One variant per growing body literal: its delta-first plan
+          // scans that literal's delta and probes the pre-round database
+          // for the others.
           for (size_t step : delta_steps_of[k]) {
-            const PredId p = cr.plan.steps[step].pred;
-            if (!DeltaRange(p, sizes_, delta_lo).empty()) {
-              FireVariant(cr, step, sizes_, delta_lo);
-            }
+            const RowRange delta =
+                DeltaRange(cr.plan.steps[step].pred, delta_lo);
+            if (!delta.empty()) FireVariant(cr, cr.DeltaPlan(step), delta);
           }
         }
       }
@@ -509,16 +504,15 @@ class Engine {
     return Status::Ok();
   }
 
-  /// Rows [delta_lo[pred], start[pred]) of `pred` — its semi-naive delta
+  /// Rows [delta_lo[pred], sizes_[pred]) of `pred` — its semi-naive delta
   /// when `delta_lo` holds the round's watermarks. A predicate missing
   /// from either map reads as 0 there.
-  static RowRange DeltaRange(PredId pred, const SizeMap& start,
-                             const SizeMap& delta_lo) {
+  RowRange DeltaRange(PredId pred, const SizeMap& delta_lo) const {
     auto size_in = [pred](const SizeMap& sizes) -> uint32_t {
       auto it = sizes.find(pred);
       return it == sizes.end() ? 0 : it->second;
     };
-    return RowRange{size_in(delta_lo), size_in(start)};
+    return RowRange{size_in(delta_lo), size_in(sizes_)};
   }
 
   /// Validates and installs the resume cursor: restores counters, retired
@@ -598,7 +592,6 @@ class Engine {
   }
 
  private:
-  static constexpr size_t kNoDelta = static_cast<size_t>(-1);
   /// Minimum outer rows per worker before a variant is worth splitting.
   static constexpr uint32_t kMinRowsPerWorker = 64;
   /// Default EvalOptions::pool_min_delta_rows when neither the option nor
@@ -837,19 +830,21 @@ class Engine {
     /// can ever be derived, so the first witness suffices (Section 3.1's
     /// cut) and the rule can retire once the tuple exists.
     bool single_tuple_head = false;
-    /// Delta-first variant plans, keyed by the MAIN plan's step index that
-    /// the variant designates as delta. Each is the same rule recompiled
-    /// with that literal forced to step 0, so the semi-naive delta variant
+    /// Delta-first variant plans, indexed by the MAIN plan's step that the
+    /// variant designates as delta. Each is the same rule recompiled with
+    /// that literal forced to step 0, so the semi-naive delta variant
     /// scans only the delta suffix and probes the other literals through
-    /// indexes — O(delta) per round, not a full outer-relation scan. Steps
-    /// already outermost in the main plan need no entry.
-    std::vector<std::pair<size_t, RulePlan>> delta_plans;
+    /// indexes — O(delta) per round, not a full outer-relation scan.
+    /// Entries for step 0 (already outermost) and for steps that never
+    /// carry a delta stay empty.
+    std::vector<RulePlan> delta_plans;
 
-    const RulePlan* DeltaPlan(size_t main_step) const {
-      for (const auto& [s, p] : delta_plans) {
-        if (s == main_step) return &p;
-      }
-      return nullptr;
+    /// The plan of the semi-naive variant whose delta is main-plan step
+    /// `main_step`: its delta literal is always step 0.
+    const RulePlan& DeltaPlan(size_t main_step) const {
+      if (main_step == 0) return plan;
+      assert(!delta_plans[main_step].steps.empty());
+      return delta_plans[main_step];
     }
   };
 
@@ -880,23 +875,22 @@ class Engine {
       for (const ArgSpec& a : cr.plan.head_args) {
         if (a.kind == ArgSpec::Kind::kReg) cr.single_tuple_head = false;
       }
-      // A rule the bitset path cannot take (ineligible plan shape, or
-      // provenance forcing the generic descent) is a fallback when this
-      // run asked for bitset kernels.
-      if (UseBitsetKernels(options_.representation) &&
-          (!cr.plan.bitset_eligible || options_.record_provenance)) {
+      // A rule the kernels cannot take (ineligible plan shape, or
+      // provenance forcing the generic descent) is a fallback.
+      if (!cr.plan.bitset_eligible || options_.record_provenance) {
         ++rep_stats_.fallbacks;
       }
       // Delta-first variants for every step that can carry a delta in
       // semi-naive rounds: IDB literals plus (on IVM re-entry) literals
       // over extra-delta predicates. A step already outermost keeps the
-      // main plan. Compile failure just means no variant (the main plan
-      // is always a sound fallback), but forcing a positive literal first
-      // cannot make an orderable rule unorderable.
+      // main plan. Forcing a positive literal first only binds variables
+      // earlier, so it compiles wherever the main plan did: a failure is
+      // an engine bug, not a plan to fall back from.
       if (options_.seminaive) {
-        for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
+        cr.delta_plans.resize(cr.plan.steps.size());
+        for (size_t s = 1; s < cr.plan.steps.size(); ++s) {
           const LiteralStep& step = cr.plan.steps[s];
-          if (s == 0 || step.negated) continue;
+          if (step.negated) continue;
           const bool idb_step =
               std::find(cr.idb_steps.begin(), cr.idb_steps.end(), s) !=
               cr.idb_steps.end();
@@ -909,9 +903,12 @@ class Engine {
           delta_opts.first_body_position = step.body_position;
           Result<RulePlan> delta_plan =
               CompileRule(program_.rules()[i], delta_opts);
-          if (delta_plan.ok()) {
-            cr.delta_plans.emplace_back(s, std::move(*delta_plan));
+          if (!delta_plan.ok()) {
+            return Status::Internal("delta-first plan of rule " +
+                                    std::to_string(i) + " failed: " +
+                                    delta_plan.status().ToString());
           }
+          cr.delta_plans[s] = std::move(*delta_plan);
         }
       }
       rules_.push_back(std::move(cr));
@@ -951,38 +948,25 @@ class Engine {
   /// on, provenance is off, the variant has a partitionable positive
   /// outermost step, and the outer range is big enough to amortize the
   /// spawn. Single-tuple heads stay serial (they stop at one witness).
-  uint32_t NumWorkers(const RulePlan& plan,
-                      const std::vector<RowRange>& ranges) const {
+  uint32_t NumWorkers(const RulePlan& plan, RowRange outer) const {
     if (options_.num_threads <= 1 || options_.record_provenance) return 1;
     if (stop_after_first_) return 1;
     if (plan.steps.empty() || plan.steps[0].negated) return 1;
-    const uint32_t rows = ranges[0].hi - ranges[0].lo;
+    const uint32_t rows = outer.hi - outer.lo;
     return std::min(options_.num_threads,
                     std::max(1u, rows / kMinRowsPerWorker));
   }
 
-  /// Fires one rule variant. `delta_step` designates the step reading only
-  /// [delta_lo, start) of its relation (kNoDelta = none; all steps read
-  /// [0, start)). Derivations land in per-worker buffers and are appended
-  /// to round_buffer_ in deterministic (partition) order.
-  void FireVariant(const CompiledRule& cr, size_t delta_step,
-                   const SizeMap& start, const SizeMap& delta_lo) {
+  /// Fires one rule variant running `plan`. Step 0 reads `delta` (a
+  /// semi-naive delta suffix of its relation) or, for round 0 and naive
+  /// rounds (nullopt), its whole relation. Every later step reads its
+  /// whole relation: relations only grow at the round's flush, so that is
+  /// the pre-round database. Derivations land in per-worker buffers and
+  /// are appended to round_buffer_ in deterministic (partition) order.
+  void FireVariant(const CompiledRule& cr, const RulePlan& plan,
+                   std::optional<RowRange> delta) {
     if (Tripped()) return;  // budget already blown; finish the round fast
     if (!injected_.ok()) return;  // fault pending; finish the round fast
-    // Delta variants run the delta-first plan when one was compiled: the
-    // delta literal is its step 0, so the outer scan covers only the
-    // suffix [delta_lo, start) and every other literal is an index probe.
-    // The match set is identical either way (loop order does not change
-    // the join), so answers are unchanged; per-variant derivation order
-    // and scan counters follow the plan actually run.
-    const RulePlan* chosen = &cr.plan;
-    if (delta_step != kNoDelta) {
-      if (const RulePlan* dp = cr.DeltaPlan(delta_step)) {
-        chosen = dp;
-        delta_step = 0;
-      }
-    }
-    const RulePlan& plan = *chosen;
     // Existence short-circuit (Section 3.1): a single-tuple head needs one
     // witness ever; skip entirely once the tuple exists.
     stop_after_first_ = options_.boolean_cut && cr.single_tuple_head;
@@ -993,15 +977,20 @@ class Engine {
         return;
       }
     }
-    std::vector<RowRange>& ranges = ranges_scratch_;  // reused per variant
-    ranges.assign(plan.steps.size(), RowRange{0, 0});
+    step_rels_.assign(plan.steps.size(), nullptr);
     for (size_t s = 0; s < plan.steps.size(); ++s) {
-      ranges[s] = DeltaRange(plan.steps[s].pred, start, delta_lo);
-      if (s != delta_step) ranges[s].lo = 0;
-      // An empty range over a positive literal means the variant cannot
-      // match; an empty (or absent) relation under a negated literal is
-      // simply a succeeding anti-join.
-      if (ranges[s].empty() && !plan.steps[s].negated) return;
+      const Relation* rel = db_->Find(plan.steps[s].pred);
+      step_rels_[s] = rel;
+      // An empty positive literal means the variant cannot match; an
+      // empty (or absent) relation under a negated literal is simply a
+      // succeeding anti-join.
+      if ((rel == nullptr || rel->empty()) && !plan.steps[s].negated) return;
+    }
+    RowRange outer{0, 0};
+    if (delta.has_value()) {
+      outer = *delta;
+    } else if (!plan.steps.empty() && step_rels_[0] != nullptr) {
+      outer.hi = static_cast<uint32_t>(step_rels_[0]->size());
     }
     current_rule_index_ = cr.rule_index;
     SpanGuard rule_span(obs_.t,
@@ -1009,43 +998,36 @@ class Engine {
                             ? "rule:" + std::to_string(cr.rule_index)
                             : std::string());
 
-    // Resolve each step's relation and (lazily built) index once per
-    // variant: the inner descent loop then probes through cached pointers
-    // with no map lookup or lock. Relations cloned copy-on-write from a
-    // shared snapshot stay payload-shared — the const GetIndex builds (or
-    // reuses) the shared index in place, so concurrent sessions over the
-    // same EDB pay for an index build once.
+    // Resolve each step's (lazily built) index once per variant: the inner
+    // descent loop then probes through cached pointers with no map lookup
+    // or lock. Relations cloned copy-on-write from a shared snapshot stay
+    // payload-shared — the const GetIndex builds (or reuses) the shared
+    // index in place, so concurrent sessions over the same EDB pay for an
+    // index build once.
     //
     // Unary membership steps (step.bitset_eligible) never resolve a hash
-    // index: in every representation they probe the relation's word-packed
-    // bitset instead — full bits when the step reads the whole relation,
-    // a scratch bitset built from the arena rows [lo, hi) when it reads a
-    // semi-naive delta. This keeps index builds (and the storage.rehashes
-    // gauge) identical across representations.
-    step_rels_.assign(plan.steps.size(), nullptr);
+    // index: they probe the relation's word-packed bitset instead — full
+    // bits, or for a step 0 that reads a delta suffix, a scratch bitset
+    // built from the arena rows [lo, hi).
     step_indexes_.assign(plan.steps.size(), nullptr);
     step_bits_.assign(plan.steps.size(), nullptr);
     for (size_t s = 0; s < plan.steps.size(); ++s) {
       const LiteralStep& step = plan.steps[s];
-      const Relation* rel = db_->Find(step.pred);
-      step_rels_[s] = rel;
+      const Relation* rel = step_rels_[s];
       if (rel == nullptr || step.negated || step.index_columns.empty()) {
         continue;
       }
       // Provenance needs row ids, which a membership bit cannot supply;
-      // explain runs resolve the hash index like any other step (in every
-      // representation, so the comparison stays apples-to-apples).
+      // explain runs resolve the hash index like any other step.
       if (step.bitset_eligible && !options_.record_provenance &&
           rel->arity() == 1) {
         const Relation::View v = rel->view();
-        if (ranges[s].lo == 0 && ranges[s].hi == v.size()) {
+        if (s > 0 || (outer.lo == 0 && outer.hi == v.size())) {
           step_bits_[s] = v.bits();
         } else {
-          // Delta reads cover the arena suffix [lo, hi); at most one step
-          // per variant is the delta step, so one scratch bitset suffices.
           delta_bits_scratch_.Clear();
           std::span<const Value> arena = v.Raw();
-          for (uint32_t r = ranges[s].lo; r < ranges[s].hi; ++r) {
+          for (uint32_t r = outer.lo; r < outer.hi; ++r) {
             delta_bits_scratch_.Set(arena[r]);
           }
           step_bits_[s] = &delta_bits_scratch_;
@@ -1057,26 +1039,25 @@ class Engine {
 
     // Pool-skip gate: a semi-naive round whose delta is tiny costs more to
     // dispatch than to run inline (see EvalOptions::pool_min_delta_rows).
-    uint32_t workers = NumWorkers(plan, ranges);
-    if (workers > 1 && delta_step != kNoDelta) {
-      const uint32_t delta_rows =
-          ranges[delta_step].hi - ranges[delta_step].lo;
-      if (delta_rows < pool_min_delta_rows_) {
-        workers = 1;
-        pool_skipped_this_round_ = true;
-      }
+    uint32_t workers = NumWorkers(plan, outer);
+    if (workers > 1 && delta.has_value() &&
+        outer.hi - outer.lo < pool_min_delta_rows_) {
+      workers = 1;
+      pool_skipped_this_round_ = true;
     }
-    bool kernel =
-        use_bitset_ && plan.bitset_eligible && !stop_after_first_;
-    if (kernel && !PrepareBitsetVariant(plan, ranges)) kernel = false;
+    // Kernel or descent is a per-rule plan fact (DESIGN.md §14); the
+    // kernels have no per-row descent spine, so provenance runs descend.
+    bool kernel = plan.bitset_eligible && !options_.record_provenance &&
+                  !stop_after_first_;
+    if (kernel && !PrepareBitsetVariant(plan)) kernel = false;
     if (workers <= 1) {
       serial_.regs.assign(plan.num_regs, 0);
       if (kernel) {
-        RunBitsetPartition(plan, ranges, serial_);
+        RunBitsetPartition(plan, outer, serial_);
       } else {
         serial_.reg_set.assign(plan.num_regs, false);
         serial_.path.clear();
-        Descend(plan, ranges, 0, serial_);
+        Descend(plan, outer, 0, serial_);
       }
       RecordVariantShard(serial_);
       Drain(serial_);
@@ -1086,8 +1067,8 @@ class Engine {
     // Partition the outermost row range into contiguous chunks, one per
     // worker. Chunk order == serial scan order, so appending the worker
     // buffers in chunk order reproduces the serial derivation sequence.
-    const uint32_t lo = ranges[0].lo;
-    const uint32_t total = ranges[0].hi - lo;
+    const uint32_t lo = outer.lo;
+    const uint32_t total = outer.hi - lo;
     if (worker_states_.size() < workers) worker_states_.resize(workers);
     if (obs_.t != nullptr) {
       // shards_[0] is the serial/main participant; worker w owns w + 1.
@@ -1112,19 +1093,17 @@ class Engine {
       pool_ = std::make_unique<WorkerPool>(
           std::min(options_.num_threads, hw) - 1);
     }
-    pool_->Run(workers, [this, &plan, &ranges, lo, total, workers,
-                         kernel](uint32_t w) {
+    pool_->Run(workers, [this, &plan, lo, total, workers, kernel](uint32_t w) {
       DescentState& ws = worker_states_[w];
       ws.regs.assign(plan.num_regs, 0);
       ws.reg_set.assign(plan.num_regs, false);
-      std::vector<RowRange> my_ranges = ranges;
-      my_ranges[0] = RowRange{lo + w * total / workers,
-                              lo + (w + 1) * total / workers};
-      if (my_ranges[0].empty()) return;
+      const RowRange part{lo + w * total / workers,
+                          lo + (w + 1) * total / workers};
+      if (part.empty()) return;
       if (kernel) {
-        RunBitsetPartition(plan, my_ranges, ws);
+        RunBitsetPartition(plan, part, ws);
       } else {
-        Descend(plan, my_ranges, 0, ws);
+        Descend(plan, part, 0, ws);
       }
       RecordVariantShard(ws);
     });
@@ -1137,8 +1116,7 @@ class Engine {
   /// probe's backing bitset is unavailable — provenance resolved indexes
   /// instead, or a defensive arity mismatch — and the variant must take
   /// the generic descent.
-  bool PrepareBitsetVariant(const RulePlan& plan,
-                            const std::vector<RowRange>& ranges) {
+  bool PrepareBitsetVariant(const RulePlan& plan) {
     pre_probes_.clear();
     post_probes_.clear();
     for (size_t s = 1; s < plan.steps.size(); ++s) {
@@ -1158,7 +1136,7 @@ class Engine {
         // growing); absent/empty relations pass vacuously with no probe,
         // exactly like the generic anti-join branch.
         const Relation* rel = step_rels_[s];
-        p.active = rel != nullptr && ranges[s].hi > 0;
+        p.active = rel != nullptr && !rel->empty();
         if (p.active) {
           p.bits = rel->view().bits();
           if (p.bits == nullptr) return false;
@@ -1200,22 +1178,21 @@ class Engine {
   }
 
   /// Executes one outer-range partition of a bitset-eligible variant
-  /// (ranges[0] is this participant's slice). Shape A — unary outer scan,
-  /// no binary probe — runs word-wise mask kernels and replays the arena
-  /// for emission; Shape B — binary outer scan and/or one binary index
-  /// probe — runs a tight per-row loop over the pre-resolved bit probes.
-  /// Both reproduce the generic descent's derivation sequence and counters
-  /// exactly (DESIGN.md §14).
-  void RunBitsetPartition(const RulePlan& plan,
-                          const std::vector<RowRange>& ranges,
+  /// (`outer` is this participant's slice of step 0's rows). Shape A —
+  /// unary outer scan, no binary probe — runs word-wise mask kernels and
+  /// replays the arena for emission; Shape B — binary outer scan and/or
+  /// one binary index probe — runs a tight per-row loop over the
+  /// pre-resolved bit probes. Both reproduce the generic descent's
+  /// derivation sequence and counters exactly (DESIGN.md §14).
+  void RunBitsetPartition(const RulePlan& plan, RowRange outer,
                           DescentState& ws) {
     ws.open_run = static_cast<size_t>(-1);
-    const Relation::View outer = step_rels_[0]->view();
-    if (outer.arity() == 1 &&
+    const Relation::View view = step_rels_[0]->view();
+    if (view.arity() == 1 &&
         plan.binary_probe_step == static_cast<size_t>(-1)) {
-      RunShapeA(plan, ranges[0], outer, ws);
+      RunShapeA(plan, outer, view, ws);
     } else {
-      RunShapeB(plan, ranges, outer, ws);
+      RunShapeB(plan, outer, view, ws);
     }
   }
 
@@ -1298,9 +1275,8 @@ class Engine {
   /// binary index probe (if any) in row-id order binding its fresh
   /// register, run the post-probes, emit. One probe / one match count per
   /// generic-descent event, in the generic order.
-  void RunShapeB(const RulePlan& plan, const std::vector<RowRange>& ranges,
+  void RunShapeB(const RulePlan& plan, RowRange outer,
                  const Relation::View& view, DescentState& ws) {
-    const RowRange outer = ranges[0];
     std::span<const Value> arena = view.Raw();
     const uint32_t arity = view.arity();
     const LiteralStep& outer_step = plan.steps[0];
@@ -1309,13 +1285,11 @@ class Engine {
         bp == static_cast<size_t>(-1) ? nullptr : &plan.steps[bp];
     const Relation::Index* bindex = nullptr;
     std::span<const Value> barena;
-    RowRange brange{0, 0};
     uint32_t bfree_pos = 0;
     uint32_t bfree_reg = 0;
     if (bstep != nullptr) {
       bindex = step_indexes_[bp];
       barena = step_rels_[bp]->view().Raw();
-      brange = ranges[bp];
       bfree_pos = bstep->index_columns[0] == 0 ? 1 : 0;
       bfree_reg = bstep->args[bfree_pos].reg;
     }
@@ -1347,11 +1321,9 @@ class Engine {
       const Relation::RowIdList* ids =
           bindex->LookupKey(RegKey{bstep, ws.regs.data()});
       if (ids == nullptr) continue;
-      auto lo_it = std::lower_bound(ids->begin(), ids->end(), brange.lo);
-      for (auto it = lo_it; it != ids->end() && *it < brange.hi; ++it) {
+      for (const uint32_t id : *ids) {
         ++ws.stats.rows_matched;
-        ws.regs[bfree_reg] =
-            barena[static_cast<size_t>(*it) * 2 + bfree_pos];
+        ws.regs[bfree_reg] = barena[static_cast<size_t>(id) * 2 + bfree_pos];
         if (!run_probes(post_probes_)) continue;
         if (!EmitHead(plan, ws)) return;
       }
@@ -1391,8 +1363,8 @@ class Engine {
   /// single-tuple head was emitted and one witness suffices). `ws` is this
   /// worker's private state; when serial it aliases serial_, whose stats
   /// and buffer are folded into the engine-wide ones by Flush.
-  bool Descend(const RulePlan& plan, const std::vector<RowRange>& ranges,
-               size_t step_idx, DescentState& ws) {
+  bool Descend(const RulePlan& plan, RowRange outer, size_t step_idx,
+               DescentState& ws) {
     if (step_idx == plan.steps.size()) {
       if (RoundDerivationsTripped()) return false;
       PendingFact fact;
@@ -1414,7 +1386,6 @@ class Engine {
     }
     const LiteralStep& step = plan.steps[step_idx];
     const Relation* rel = step_rels_[step_idx];
-    const RowRange& range = ranges[step_idx];
 
     if (step.negated) {
       // Anti-join: succeed iff no tuple matches the (fully bound) key.
@@ -1422,7 +1393,7 @@ class Engine {
       // is the whole tuple — membership is tested straight off the
       // registers, no key vector.
       bool exists = false;
-      if (rel != nullptr && range.hi > 0) {
+      if (rel != nullptr && !rel->empty()) {
         if (step.args.empty()) {
           exists = true;  // 0-ary relation holds the empty tuple
         } else {
@@ -1431,13 +1402,13 @@ class Engine {
         }
       }
       if (exists) return true;  // this binding fails; keep enumerating
-      return Descend(plan, ranges, step_idx + 1, ws);
+      return Descend(plan, outer, step_idx + 1, ws);
     }
     if (rel == nullptr) return true;
 
     // Unary membership probe: a bound single argument against an arity-1
     // relation tests one bit (of the full bitset, or the delta bitset
-    // FireVariant built for the delta step) instead of a hash-index
+    // FireVariant built for a delta step 0) instead of a hash-index
     // lookup. The counter shape matches the index path exactly: one probe
     // per binding reaching the step, one matched row per hit (arity-1
     // dedup means an index group holds at most one row).
@@ -1449,7 +1420,7 @@ class Engine {
       if (!step_bits_[step_idx]->Test(key)) return true;
       if (StrideTripped(ws)) return false;
       ++ws.stats.rows_matched;
-      return Descend(plan, ranges, step_idx + 1, ws);
+      return Descend(plan, outer, step_idx + 1, ws);
     }
 
     const Relation::View rv = rel->view();
@@ -1478,7 +1449,7 @@ class Engine {
         if (options_.record_provenance) {
           ws.path.push_back(TupleRef{step.pred, row_id});
         }
-        keep_going = Descend(plan, ranges, step_idx + 1, ws);
+        keep_going = Descend(plan, outer, step_idx + 1, ws);
         if (options_.record_provenance) ws.path.pop_back();
       }
       // Unbind: the registers bound by this row are among step.binds
@@ -1501,7 +1472,12 @@ class Engine {
       return keep_going;
     };
 
+    // Step 0 reads the variant's outer range; every later step reads its
+    // whole relation.
     if (step.index_columns.empty()) {
+      const RowRange range =
+          step_idx == 0 ? outer
+                        : RowRange{0, static_cast<uint32_t>(rv.size())};
       for (uint32_t row_id = range.lo; row_id < range.hi; ++row_id) {
         if (!process_row(row_id)) return false;
       }
@@ -1512,9 +1488,14 @@ class Engine {
     const Relation::RowIdList* ids =
         index.LookupKey(RegKey{&step, ws.regs.data()});
     if (ids == nullptr) return true;
-    // Row ids are appended in increasing order; binary-search the range.
-    auto lo_it = std::lower_bound(ids->begin(), ids->end(), range.lo);
-    for (auto it = lo_it; it != ids->end() && *it < range.hi; ++it) {
+    auto it = ids->begin();
+    auto end = ids->end();
+    if (step_idx == 0) {
+      // Row ids are appended in increasing order; binary-search the range.
+      it = std::lower_bound(it, end, outer.lo);
+      end = std::lower_bound(it, end, outer.hi);
+    }
+    for (; it != end; ++it) {
       if (!process_row(*it)) return false;
     }
     return true;
@@ -1531,7 +1512,7 @@ class Engine {
       const bool unary = f.len == 1;
       // Pre-size the arena for kernel runs. Unary only: Reserve on wider
       // relations also pre-sizes the dedup table, which would make the
-      // storage.rehashes gauge depend on the representation.
+      // storage.rehashes gauge depend on kernel versus descent.
       if (unary && f.count > 1) rel.Reserve(rel.size() + f.count);
       uint64_t inserted = 0;
       for (uint32_t i = 0; i < f.count; ++i) {
@@ -1639,10 +1620,9 @@ class Engine {
   /// pool workers for the variant's duration).
   std::vector<const Relation*> step_rels_;
   std::vector<const Relation::Index*> step_indexes_;
-  std::vector<RowRange> ranges_scratch_;  ///< FireVariant's step ranges.
   /// Per-variant: the bitset each unary membership step probes (nullptr
   /// for every other step). Full relation bits, or delta_bits_scratch_
-  /// when the step reads a semi-naive delta suffix.
+  /// when step 0 reads a semi-naive delta suffix.
   std::vector<const UnaryBitset*> step_bits_;
   UnaryBitset delta_bits_scratch_;
   /// Per-variant bitset-kernel probe descriptors, split around the binary
@@ -1650,9 +1630,6 @@ class Engine {
   /// duration, like the caches above).
   std::vector<BitProbe> pre_probes_;
   std::vector<BitProbe> post_probes_;
-  /// Run the batched bitset kernels for eligible rules this evaluation
-  /// (representation != tuple and no provenance)?
-  bool use_bitset_ = false;
   RepresentationStats rep_stats_;
   /// Resolved pool-skip threshold (ResolvePoolMinDeltaRows) and the
   /// per-round "gate fired" flag FinishRound turns into the

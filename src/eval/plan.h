@@ -52,7 +52,7 @@ struct LiteralStep {
   /// Bitset-eligible literal (DESIGN.md §14): a unary membership test —
   /// arity 1 with the single position fully bound (index_columns == {0}),
   /// positive or negated. Executors answer these from the relation's
-  /// word-packed bitset instead of a hash index, in every representation.
+  /// word-packed bitset instead of a hash index.
   bool bitset_eligible = false;
 };
 
@@ -69,11 +69,11 @@ struct RulePlan {
   /// pure scan binding only fresh distinct registers over an arity-1 or
   /// arity-2 relation, every later step is a unary membership test
   /// (bitset_eligible above) except at most one binary index probe that
-  /// binds exactly one fresh register. Under --representation=bitset/auto
-  /// the evaluator runs such rules through the batched bitset kernels;
-  /// anything else falls back to the generic descent (counted in
-  /// storage.representation.fallbacks), with byte-identical answers and
-  /// counters either way.
+  /// binds exactly one fresh register. This flag alone decides kernel or
+  /// descent: the evaluator runs such rules through the batched bitset
+  /// kernels (unless it records provenance) and every other rule through
+  /// the generic descent (counted in storage.representation.fallbacks),
+  /// with byte-identical answers and counters either way.
   bool bitset_eligible = false;
   /// Step index of the single binary index-probe step, or SIZE_MAX when
   /// the rule has none. Meaningful only when bitset_eligible.

@@ -16,8 +16,8 @@
 // program is monotone, so re-derivation from the delta converges to the
 // same relation sets a cold evaluation of the whole database would — and
 // ExtractAnswers sorts + dedups, so the rendered answers are
-// byte-identical to the cold run regardless of derivation order, thread
-// count, or physical representation. Programs the incremental path cannot
+// byte-identical to the cold run regardless of derivation order or thread
+// count. Programs the incremental path cannot
 // handle (classified once at registration, see Fallback) take a full
 // recompute every generation instead, counted in IvmStats so the
 // ivm.full_recomputes metric proves when the fast path is taken.

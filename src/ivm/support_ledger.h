@@ -8,8 +8,7 @@
 // only delta kind this PR ships, so the ledger is populated but never
 // decremented yet). The ledger plugs into the evaluator as a SupportSink:
 // Flush reports every buffered head tuple — new and duplicate alike — in
-// a deterministic order, so counts are identical across thread counts and
-// representations.
+// a deterministic order, so counts are identical across thread counts.
 //
 // Known limitation, recorded here so the retraction PR does not trip over
 // it: the semi-naive variants fire one delta literal per variant with the

@@ -34,8 +34,6 @@ QueryService::QueryService(ServiceOptions options)
   queries_failed_id_ = metrics.Counter("service.queries.failed");
   batches_id_ = metrics.Counter("service.batches");
   generation_id_ = metrics.Gauge("service.snapshot.generation");
-  // MetricsJson before the first query still labels the configured mode.
-  aggregate_.representation.mode = options_.eval.representation;
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
@@ -350,10 +348,7 @@ void QueryService::DispatcherLoop() {
           aggregate_.has_run = true;
           aggregate_.stats += item.summary.stats;
           aggregate_.answers += item.summary.answers;
-          // Counters sum across queries; the mode is the service-wide
-          // eval template's, identical for every session.
           aggregate_.representation += item.summary.representation;
-          aggregate_.representation.mode = item.summary.representation.mode;
           if (aggregate_.termination.ok() && !item.summary.termination.ok()) {
             aggregate_.termination = item.summary.termination;
           }
@@ -431,10 +426,6 @@ void QueryService::ProcessOne(Active& item) {
         item.pending.request.cancellation;
   }
   session_options.eval.budget = EvalBudget::FromEnv(session_options.eval.budget);
-  if (item.pending.request.representation.has_value()) {
-    session_options.eval.representation =
-        *item.pending.request.representation;
-  }
   if (!item.pending.request.checkpoint_directory.empty()) {
     session_options.checkpoint.directory =
         item.pending.request.checkpoint_directory;

@@ -2,8 +2,8 @@
 //
 // The contract under test: a registered standing query's polled answers
 // are byte-identical to a cold re-evaluation of the same source at the
-// same generation — after every fact load, for every physical
-// representation, at every pool size — and the maintenance that keeps
+// same generation — after every fact load, at every pool size — and the
+// maintenance that keeps
 // them so is incremental (ivm.full_recomputes stays 0) whenever the
 // program is in the incremental fragment. The randomized section drives
 // seeded fact-delta schedules (duplicates, new nodes, chain extensions)
@@ -24,7 +24,6 @@
 #include "ivm/materialized_view.h"
 #include "service/answer_text.h"
 #include "service/query_service.h"
-#include "storage/representation.h"
 
 namespace exdl {
 namespace {
@@ -102,11 +101,10 @@ std::string BaseFacts(std::mt19937& rng, int* next_node) {
   return facts;
 }
 
-ServiceOptions MakeOptions(uint32_t workers, Representation rep) {
+ServiceOptions MakeOptions(uint32_t workers) {
   ServiceOptions options;
   options.num_workers = workers;
   options.eval.num_threads = workers;
-  options.eval.representation = rep;
   options.compile.optimize = true;
   return options;
 }
@@ -132,37 +130,30 @@ void ExpectPollMatchesCold(QueryService& service, uint64_t id,
 }
 
 TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
-  const Representation reps[] = {Representation::kTuple,
-                                 Representation::kBitset};
   for (uint32_t workers : {1u, 4u}) {
-    for (Representation rep : reps) {
-      for (uint32_t seed : {7u, 1234u}) {
-        std::mt19937 rng(seed);
-        int next_node = 0;
-        const std::string base = BaseFacts(rng, &next_node);
-        QueryService service(MakeOptions(workers, rep));
-        ASSERT_TRUE(service.LoadFacts(base).ok());
-        std::vector<QueryRequest> requests;
-        std::vector<uint64_t> ids;
-        for (const IvmCase& c : kCases) {
-          QueryRequest request{c.source, c.label};
-          Result<uint64_t> id = service.RegisterStandingQuery(request);
-          ASSERT_TRUE(id.ok()) << c.label << ": " << id.status().ToString();
-          requests.push_back(std::move(request));
-          ids.push_back(*id);
-        }
-        for (int g = 0; g < 5; ++g) {
-          ASSERT_TRUE(
-              service.LoadFacts(RandomDelta(rng, &next_node)).ok());
-          for (size_t q = 0; q < ids.size(); ++q) {
-            SCOPED_TRACE(std::string(kCases[q].label) + " workers=" +
-                         std::to_string(workers) + " rep=" +
-                         RepresentationName(rep) + " seed=" +
-                         std::to_string(seed) + " gen=" +
-                         std::to_string(g));
-            ExpectPollMatchesCold(service, ids[q], requests[q],
-                                  /*expect_incremental=*/true);
-          }
+    for (uint32_t seed : {7u, 1234u}) {
+      std::mt19937 rng(seed);
+      int next_node = 0;
+      const std::string base = BaseFacts(rng, &next_node);
+      QueryService service(MakeOptions(workers));
+      ASSERT_TRUE(service.LoadFacts(base).ok());
+      std::vector<QueryRequest> requests;
+      std::vector<uint64_t> ids;
+      for (const IvmCase& c : kCases) {
+        QueryRequest request{c.source, c.label};
+        Result<uint64_t> id = service.RegisterStandingQuery(request);
+        ASSERT_TRUE(id.ok()) << c.label << ": " << id.status().ToString();
+        requests.push_back(std::move(request));
+        ids.push_back(*id);
+      }
+      for (int g = 0; g < 5; ++g) {
+        ASSERT_TRUE(service.LoadFacts(RandomDelta(rng, &next_node)).ok());
+        for (size_t q = 0; q < ids.size(); ++q) {
+          SCOPED_TRACE(std::string(kCases[q].label) + " workers=" +
+                       std::to_string(workers) + " seed=" +
+                       std::to_string(seed) + " gen=" + std::to_string(g));
+          ExpectPollMatchesCold(service, ids[q], requests[q],
+                                /*expect_incremental=*/true);
         }
       }
     }
@@ -170,7 +161,7 @@ TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
 }
 
 TEST(IvmTest, PollReflectsRegistrationSnapshot) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"
@@ -188,7 +179,7 @@ TEST(IvmTest, PollReflectsRegistrationSnapshot) {
 }
 
 TEST(IvmTest, DuplicateLoadIsANoOpGeneration) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"
@@ -208,7 +199,7 @@ TEST(IvmTest, DuplicateLoadIsANoOpGeneration) {
 }
 
 TEST(IvmTest, GroundQueryFlipsAndStays) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"
@@ -228,7 +219,7 @@ TEST(IvmTest, GroundQueryFlipsAndStays) {
 }
 
 TEST(IvmTest, NegationFallsBackToReseedAndStaysCorrect) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c). blocked(c).").ok());
   QueryRequest request{
       "ok(X, Y) :- e(X, Y), not blocked(Y).\n"
@@ -251,7 +242,7 @@ TEST(IvmTest, NegationFallsBackToReseedAndStaysCorrect) {
 }
 
 TEST(IvmTest, UnregisterRetiresTheView) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{"p(X, Y) :- e(X, Y).\n?- p(X, Y).\n", "p"};
   Result<uint64_t> id = service.RegisterStandingQuery(request);
@@ -265,7 +256,7 @@ TEST(IvmTest, UnregisterRetiresTheView) {
 }
 
 TEST(IvmTest, MetricsJsonCarriesIvmObject) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"
@@ -284,7 +275,7 @@ TEST(IvmTest, MetricsJsonCarriesIvmObject) {
 // polls, and unregistrations race on one service; every poll that
 // succeeds must be internally consistent.
 TEST(IvmConcurrencyTest, RegisterLoadPollRace) {
-  QueryService service(MakeOptions(4, Representation::kBitset));
+  QueryService service(MakeOptions(4));
   ASSERT_TRUE(service.LoadFacts("e(n0, n1). e(n1, n2).").ok());
   QueryRequest request{
       "tc(X, Y) :- e(X, Y).\n"

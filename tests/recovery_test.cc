@@ -353,9 +353,8 @@ TEST_F(RecoveryTest, ParallelCrashResumeIsByteIdentical) {
 TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
   // A monadic program (every rule bitset-eligible, DESIGN.md §14): the
   // checkpoints cut mid-run carry arity-1 relations whose dedup bitsets
-  // are rebuilt on load. Resume must be representation-independent — a
-  // checkpoint written under kBitset resumes under kTuple (and kBitset
-  // again) to the same converged database.
+  // are rebuilt on load. A checkpoint written by a kernel run resumes to
+  // the same converged database.
   auto monadic_source = [](int n) {
     std::string src =
         "reach(Y) :- reach(X), e(X, Y).\n"
@@ -369,16 +368,13 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
     return src;
   };
   const std::string source = monadic_source(150);
-  EngineRun ref = RunEngine(source, [](EngineOptions& o) {
-    o.eval.representation = Representation::kBitset;
-  });
+  EngineRun ref = RunEngine(source, [](EngineOptions&) {});
   ASSERT_TRUE(ref.status.ok());
   EXPECT_GT(ref.result.representation.words_scanned, 0u);
 
   const std::string dir = MakeCheckpointDir();
   ASSERT_TRUE(FaultPlan::Global().Arm("storage.arena_grow:40").ok());
   EngineRun crashed = RunEngine(source, [&](EngineOptions& o) {
-    o.eval.representation = Representation::kBitset;
     o.checkpoint.directory = dir;
     o.checkpoint.every_rounds = 1;
   });
@@ -396,21 +392,15 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
   }
   EXPECT_TRUE(has_unary_rows);
 
-  for (Representation representation :
-       {Representation::kBitset, Representation::kTuple}) {
-    EngineRun resumed = RunEngine(
-        source,
-        [&](EngineOptions& o) { o.eval.representation = representation; },
-        Checkpointer::PathIn(dir));
-    ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
-    EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
-    EXPECT_EQ(resumed.result.answers, ref.result.answers);
-    EXPECT_EQ(resumed.result.stats.rounds, ref.result.stats.rounds);
-    EXPECT_EQ(resumed.result.stats.tuples_inserted,
-              ref.result.stats.tuples_inserted);
-    EXPECT_EQ(resumed.result.stats.rule_firings,
-              ref.result.stats.rule_firings);
-  }
+  EngineRun resumed = RunEngine(
+      source, [](EngineOptions&) {}, Checkpointer::PathIn(dir));
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
+  EXPECT_EQ(resumed.result.answers, ref.result.answers);
+  EXPECT_EQ(resumed.result.stats.rounds, ref.result.stats.rounds);
+  EXPECT_EQ(resumed.result.stats.tuples_inserted,
+            ref.result.stats.tuples_inserted);
+  EXPECT_EQ(resumed.result.stats.rule_firings, ref.result.stats.rule_firings);
 }
 
 TEST_F(RecoveryTest, SnapshotWriteFaultLeavesPreviousCheckpointGood) {

@@ -1,18 +1,16 @@
-// Representation equivalence (DESIGN.md §14): the physical executor is
-// invisible. For every program shape the suite covers — monadic kernels,
-// binary closure, negation, boolean cuts, cascades, and seeded random
-// programs — kTuple and kBitset must produce byte-identical databases
-// (contents AND row order), answers, and work counters, serially and on
-// 4 threads; and the rendered telemetry documents must be byte-identical
-// once the representation-specific sections (storage.representation
-// counters, timing fields) are normalized away.
+// Kernel equivalence (DESIGN.md §14): whether a rule runs the bitset
+// kernels or the generic descent is invisible. The reference run records
+// provenance, which forces the generic descent and hash-index membership
+// on every rule, serially. For every program shape the suite covers —
+// monadic kernels, binary closure, negation, boolean cuts, cascades, and
+// seeded random programs — the default (kernel-taking) runs on 1 and 4
+// threads must produce a database (contents AND row order), answers, and
+// work counters byte-identical to that reference.
 
 #include <gtest/gtest.h>
 
-#include <regex>
 #include <string>
 
-#include "core/engine.h"
 #include "core/workload.h"
 #include "equiv/random_check.h"
 #include "eval/evaluator.h"
@@ -38,38 +36,34 @@ void ExpectIdenticalDatabases(const Database& a, const Database& b) {
   }
 }
 
-void ExpectSameOutcome(const EvalResult& tuple, const EvalResult& bitset) {
-  ExpectIdenticalDatabases(tuple.db, bitset.db);
-  EXPECT_EQ(tuple.answers, bitset.answers);
-  EXPECT_EQ(tuple.ground_query_true, bitset.ground_query_true);
-  EXPECT_EQ(tuple.stats.rounds, bitset.stats.rounds);
-  EXPECT_EQ(tuple.stats.rule_firings, bitset.stats.rule_firings);
-  EXPECT_EQ(tuple.stats.tuples_inserted, bitset.stats.tuples_inserted);
-  EXPECT_EQ(tuple.stats.duplicate_inserts, bitset.stats.duplicate_inserts);
-  EXPECT_EQ(tuple.stats.index_probes, bitset.stats.index_probes);
-  EXPECT_EQ(tuple.stats.rows_matched, bitset.stats.rows_matched);
-  EXPECT_EQ(tuple.stats.rules_retired, bitset.stats.rules_retired);
-  EXPECT_EQ(tuple.stats.budget_tripped, bitset.stats.budget_tripped);
+void ExpectSameOutcome(const EvalResult& reference, const EvalResult& run) {
+  ExpectIdenticalDatabases(reference.db, run.db);
+  EXPECT_EQ(reference.answers, run.answers);
+  EXPECT_EQ(reference.ground_query_true, run.ground_query_true);
+  EXPECT_EQ(reference.stats.rounds, run.stats.rounds);
+  EXPECT_EQ(reference.stats.rule_firings, run.stats.rule_firings);
+  EXPECT_EQ(reference.stats.tuples_inserted, run.stats.tuples_inserted);
+  EXPECT_EQ(reference.stats.duplicate_inserts, run.stats.duplicate_inserts);
+  EXPECT_EQ(reference.stats.index_probes, run.stats.index_probes);
+  EXPECT_EQ(reference.stats.rows_matched, run.stats.rows_matched);
+  EXPECT_EQ(reference.stats.rules_retired, run.stats.rules_retired);
+  EXPECT_EQ(reference.stats.budget_tripped, run.stats.budget_tripped);
 }
 
-/// Evaluates under both representations x {1, 4} threads and asserts all
-/// four runs agree with the serial tuple run.
+/// Evaluates the descent-only reference (provenance on) and the default
+/// runs at {1, 4} threads, and asserts both runs agree with the reference.
 void ExpectRepresentationEquivalent(const Program& program,
                                     const Database& edb) {
   EvalOptions reference_options;
-  reference_options.representation = Representation::kTuple;
+  reference_options.record_provenance = true;
   EvalResult reference = testing::MustEval(program, edb, reference_options);
-  for (Representation representation :
-       {Representation::kTuple, Representation::kBitset}) {
-    for (uint32_t threads : {1u, 4u}) {
-      EvalOptions options;
-      options.representation = representation;
-      options.num_threads = threads;
-      EvalResult run = testing::MustEval(program, edb, options);
-      SCOPED_TRACE(std::string(RepresentationName(representation)) + "/" +
-                   std::to_string(threads) + " threads");
-      ExpectSameOutcome(reference, run);
-    }
+  EXPECT_EQ(reference.representation.words_scanned, 0u);
+  for (uint32_t threads : {1u, 4u}) {
+    EvalOptions options;
+    options.num_threads = threads;
+    EvalResult run = testing::MustEval(program, edb, options);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ExpectSameOutcome(reference, run);
   }
 }
 
@@ -205,74 +199,6 @@ TEST_P(RepresentationSeededTest, RandomStratifiedProgramAgrees) {
                                 /*max_tuples_per_pred=*/50,
                                 /*seed=*/GetParam() * 97 + 3);
   ExpectRepresentationEquivalent(program, edb);
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry document byte-identity (minus the new counters)
-
-/// Normalizes a telemetry document for cross-representation comparison:
-/// zeroes every timing field (those legitimately differ run to run, in
-/// any representation), drops the storage.representation metric rows and
-/// the top-level "storage" object (the documented representation-specific
-/// section), and drops the eval.round.seconds histogram (its bucket
-/// counts are timing-derived). Everything else — counters, per-rule rows,
-/// span structure — must match byte for byte.
-std::string NormalizeTelemetry(std::string doc) {
-  static const std::regex timing(
-      "\"(eval_seconds|max_round_seconds|optimize_seconds|seconds|start_ms|"
-      "duration_ms|sum)\":-?[0-9][0-9eE.+-]*");
-  doc = std::regex_replace(doc, timing, "\"$1\":0");
-  static const std::regex storage_obj(
-      ",?\"storage\":\\{\"representation\":\\{[^}]*\\}\\}");
-  doc = std::regex_replace(doc, storage_obj, "");
-  static const std::regex rep_metric(
-      "\\{\"name\":\"storage\\.representation\\.[^\"]*\"[^{}]*\\},?");
-  doc = std::regex_replace(doc, rep_metric, "");
-  static const std::regex round_hist(
-      "\\{\"name\":\"eval\\.round\\.seconds\"[^{}]*\\},?");
-  doc = std::regex_replace(doc, round_hist, "");
-  // Removing array elements can leave a trailing comma before ']'.
-  static const std::regex dangling(",\\]");
-  doc = std::regex_replace(doc, dangling, "]");
-  return doc;
-}
-
-std::string TelemetryDocFor(const std::string& source,
-                            Representation representation,
-                            uint32_t threads) {
-  EngineOptions options;
-  options.eval.representation = representation;
-  options.eval.num_threads = threads;
-  options.collect_telemetry = true;
-  Engine engine(std::move(options));
-  Status loaded = engine.LoadSource(source);
-  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
-  Result<EvalResult> result = engine.Run();
-  EXPECT_TRUE(result.ok());
-  return engine.TelemetryJson("run", "test.dl");
-}
-
-TEST(RepresentationTest, TelemetryDocsMatchModuloRepresentationSection) {
-  std::string source =
-      "reach(Y) :- reach(X), e(X, Y).\n"
-      "reach(X) :- zero(X).\n"
-      "?- reach(X).\n"
-      "zero(n0).\n";
-  for (int i = 0; i < 40; ++i) {
-    source +=
-        "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) + ").\n";
-  }
-  for (uint32_t threads : {1u, 4u}) {
-    const std::string tuple =
-        TelemetryDocFor(source, Representation::kTuple, threads);
-    const std::string bitset =
-        TelemetryDocFor(source, Representation::kBitset, threads);
-    // The raw documents DO differ (mode + kernel counters)...
-    EXPECT_NE(tuple, bitset) << threads << " threads";
-    // ...and normalizing exactly the documented section reconciles them.
-    EXPECT_EQ(NormalizeTelemetry(tuple), NormalizeTelemetry(bitset))
-        << threads << " threads";
-  }
 }
 
 }  // namespace

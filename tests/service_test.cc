@@ -331,40 +331,6 @@ TEST(QueryServiceTest, WarmCacheSkipsParseAndOptimize) {
   EXPECT_NE(metrics.find("\"service\""), std::string::npos);
 }
 
-// The compiled artifact does not depend on the physical representation,
-// so a tuple and a bitset request for one source share one cache entry.
-// Each evaluation still runs, and reports, its own mode.
-TEST(QueryServiceTest, RepresentationsShareOneCacheEntry) {
-  ServiceOptions options;
-  options.collect_telemetry = true;
-  QueryService service(options);
-  std::vector<QueryResponse> responses;
-  for (Representation mode :
-       {Representation::kTuple, Representation::kBitset}) {
-    QueryRequest request;
-    request.source = kTcChain;
-    request.name = RepresentationName(mode);
-    request.representation = mode;
-    responses.push_back(service.Await(service.Submit(std::move(request))));
-    const QueryResponse& response = responses.back();
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_EQ(response.result.representation.mode, mode);
-    EXPECT_NE(response.telemetry_json.find(std::string("\"mode\":\"") +
-                                           RepresentationName(mode) + "\""),
-              std::string::npos)
-        << response.telemetry_json;
-  }
-  EXPECT_FALSE(responses[0].cache_hit);
-  EXPECT_TRUE(responses[1].cache_hit);
-  EXPECT_EQ(responses[1].program.get(), responses[0].program.get());
-  const ProgramCache::Stats stats = service.cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(RenderAnswerRows(*service.ctx(), responses[1].result.answers),
-            RenderAnswerRows(*service.ctx(), responses[0].result.answers));
-  EXPECT_FALSE(responses[0].result.answers.empty());
-}
-
 TEST(QueryServiceTest, SnapshotGenerationsIsolateFactLoads) {
   const std::string rules = "tc(X, Y) :- e(X, Y).\n"
                             "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
