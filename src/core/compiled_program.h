@@ -96,10 +96,10 @@ class CompiledProgram {
   /// byte string, not on a hash of it, so two distinct programs can never
   /// alias an entry (FNV-1a is not collision-resistant, and a collision
   /// would silently serve the wrong artifact).
-  /// Per-request knobs — tenant, budget, cancellation, checkpointing, the
-  /// standing flag — are deliberately excluded: they change how an
-  /// evaluation runs, never what the compile produces, so including them
-  /// would only shatter the cache.
+  /// Per-request knobs — budget, cancellation, the standing flag — are
+  /// deliberately excluded: they change how an evaluation runs, never
+  /// what the compile produces, so including them would only shatter the
+  /// cache.
   static std::string CacheKeyMaterial(std::string_view source,
                                       const CompileOptions& options);
 

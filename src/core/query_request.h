@@ -37,23 +37,12 @@ struct QueryRequest {
   /// client ask against the tenant policy and passes the clamped result
   /// here). EXDL_BUDGET_* environment variables still fill limits the
   /// override leaves at zero.
-  std::optional<EvalBudget> budget;
+  std::optional<EvalBudget> budget = std::nullopt;
   /// Optional per-request cancellation, merged into the session budget.
   /// Borrowed: must stay alive until the ticket's response is produced
   /// (the daemon cancels abandoned queries through this on client
   /// disconnect). Overrides any token in `budget`.
   CancellationToken* cancellation = nullptr;
-  /// Admission-control identity the request was admitted under; "" means
-  /// the default quota. The daemon stamps this from the connection's
-  /// HELLO — the service records it for observability only and applies no
-  /// policy of its own.
-  std::string tenant;
-  /// Round-boundary checkpointing for this evaluation (DESIGN.md §11):
-  /// when non-empty, the session checkpoints into this directory every
-  /// `checkpoint_every_rounds` rounds. Flat fields rather than a
-  /// CheckpointOptions so the wire and CLI layers need no session.h.
-  std::string checkpoint_directory;
-  uint32_t checkpoint_every_rounds = 1;
   /// Register the query as a standing query (DESIGN.md §16): after this
   /// evaluation completes it is installed as a materialized view that
   /// LoadFacts maintains incrementally across generations. Submitted

@@ -451,7 +451,6 @@ bool DaemonServer::Admit(Connection& conn, SubmitMsg& submit,
   }
   request->source = std::move(submit.source);
   request->name = std::move(submit.name);
-  request->tenant = conn.tenant;
   EvalBudget budget;
   budget.deadline_ms = decision.effective.deadline_ms;
   budget.max_tuples = decision.effective.max_tuples;

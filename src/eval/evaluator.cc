@@ -1,25 +1,16 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/stratification.h"
-#include "obs/telemetry.h"
+#include "eval/join_executor.h"
 #include "recovery/fault.h"
-#include "util/worker_pool.h"
 
 namespace exdl {
 
@@ -105,49 +96,11 @@ std::string EvalStats::ToString() const {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using SizeMap = std::unordered_map<PredId, uint32_t>;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-struct RowRange {
-  uint32_t lo = 0;
-  uint32_t hi = 0;
-  bool empty() const { return lo >= hi; }
-};
-
-/// A buffered derivation: head tuple awaiting end-of-round flush (so that
-/// index row-id lists are never mutated while being iterated). The tuple's
-/// values live in the owning buffer's flat value arena — emitting a fact
-/// allocates nothing beyond amortized vector growth.
-struct PendingFact {
-  PredId pred;
-  size_t begin;     ///< Offset of the first tuple in the owner's value arena.
-  uint32_t len;     ///< Tuple arity.
-  uint32_t rule;    ///< Firing rule index (telemetry attribution at flush).
-  /// Number of consecutive tuples (stride `len`) this entry covers. The
-  /// bitset kernels emit all of a variant's derivations with one pred /
-  /// len / rule and no provenance, so they extend one run instead of
-  /// buffering a fact per derivation; the generic descent always uses 1.
-  uint32_t count = 1;
-  Provenance prov;  ///< Only filled when recording provenance.
-};
-
-/// Key view over a literal's index columns resolved against a register
-/// file (see HashKeyView): constants come from the plan, the rest from
-/// `regs`. Lets index probes and anti-join membership tests hash directly
-/// from the evaluator's registers with no key materialization.
-struct RegKey {
-  const LiteralStep* step;
-  const Value* regs;
-  size_t size() const { return step->index_columns.size(); }
-  Value operator[](size_t i) const {
-    const ArgSpec& a = step->args[step->index_columns[i]];
-    return a.kind == ArgSpec::Kind::kConst ? a.const_value : regs[a.reg];
-  }
-};
 
 /// Key view over an all-constant argument list (single-tuple heads).
 struct ConstArgsKey {
@@ -156,75 +109,13 @@ struct ConstArgsKey {
   Value operator[](size_t i) const { return (*args)[i].const_value; }
 };
 
-// The persistent fork-join WorkerPool used for parallelized rule variants
-// lives in util/worker_pool.h (extracted so the query service can reuse
-// it); the evaluator spawns one per evaluation and reuses it every round.
-
-/// Per-worker evaluation state. Serial evaluation uses one of these;
-/// parallel variants give each worker its own, then merge buffers in
-/// partition order (so the flushed insertion order — and therefore every
-/// row id, relation, and answer — matches serial evaluation exactly).
-struct DescentState {
-  std::vector<Value> regs;
-  std::vector<char> reg_set;
-  std::vector<TupleRef> path;  ///< Provenance spine (serial only).
-  EvalStats stats;
-  std::vector<PendingFact> buffer;
-  std::vector<Value> values;  ///< Flat arena backing buffer's tuples.
-  /// Rows processed since the last cooperative budget check (governed
-  /// evaluation only; see Engine::kBudgetCheckStride).
-  uint32_t rows_since_check = 0;
-  /// Index into `buffer` of the kernel emission run currently being
-  /// extended, or SIZE_MAX when none is open (see PendingFact::count).
-  size_t open_run = static_cast<size_t>(-1);
-  /// 64-bit words read by the bitset kernels on this participant's
-  /// partitions (storage.representation.words_scanned after the merge).
-  uint64_t words_scanned = 0;
-  /// Bitset-kernel scratch: the surviving-values mask of the current
-  /// all-unary variant partition (reused across variants; sized to the
-  /// outer relation's bitset).
-  std::vector<uint64_t> mask;
-  /// This participant's private metrics shard (null when telemetry is
-  /// off). Written only by the owning thread, merged at round boundaries.
-  obs::MetricsShard* shard = nullptr;
-};
-
-/// One pre-resolved unary membership test of a bitset-kernel variant:
-/// which bitset to test, with what key, positive or anti-join. `active`
-/// is false for negated steps over absent/empty relations (the test
-/// passes for every row and counts no probe, matching the generic path).
-struct BitProbe {
-  const UnaryBitset* bits = nullptr;
-  bool negated = false;
-  bool active = true;
-  bool const_key = false;
-  Value key_const = 0;
-  uint32_t key_reg = 0;
-};
-
-/// Begin-on-construct / end-on-destruct trace span that collapses to two
-/// null checks when telemetry is off.
-struct SpanGuard {
-  SpanGuard(obs::Telemetry* t, std::string name) {
-    if (t != nullptr) {
-      trace = &t->trace();
-      id = trace->Begin(std::move(name));
-    }
-  }
-  ~SpanGuard() {
-    if (trace != nullptr) trace->End(id);
-  }
-  SpanGuard(const SpanGuard&) = delete;
-  SpanGuard& operator=(const SpanGuard&) = delete;
-
-  obs::Trace* trace = nullptr;
-  obs::SpanId id = obs::kDroppedSpan;
-};
-
+/// The fixpoint loop: strata, rounds, budgets, checkpoints, the
+/// boolean cut, telemetry set-up, and the flush of the executor's round
+/// buffer into the database.
 class Engine {
  public:
   Engine(const Program& program, const EvalOptions& options)
-      : program_(program), options_(options) {}
+      : program_(program), options_(options), trip_(options.budget) {}
 
   Result<EvalResult> Run(const Database& input) { return RunOwned(input.Clone()); }
 
@@ -234,33 +125,17 @@ class Engine {
   /// detach — the property standing-query maintenance depends on.
   Result<EvalResult> RunOwned(Database input) {
     eval_begin_ = Clock::now();
-    pool_min_delta_rows_ = ResolvePoolMinDeltaRows();
     EXDL_RETURN_IF_ERROR(Compile());
     SetupObs();
+    exec_.emplace(options_, trip_, obs_);
     SpanGuard eval_span(obs_.t, "eval");
     EvalResult result;
     result.db = std::move(input);
     db_ = &result.db;
 
-    governed_ = options_.budget.any();
     if (options_.budget.deadline_ms != 0) {
-      deadline_ = eval_begin_ +
-                  std::chrono::milliseconds(options_.budget.deadline_ms);
-    }
-
-    // Stratify when negation is present; otherwise one stratum.
-    std::vector<std::vector<size_t>> strata;
-    if (program_.HasNegation()) {
-      EXDL_ASSIGN_OR_RETURN(Stratification st, Stratify(program_));
-      strata.resize(static_cast<size_t>(st.num_strata));
-      for (size_t i = 0; i < rules_.size(); ++i) {
-        strata[static_cast<size_t>(
-                   st.StratumOf(rules_[i].plan.head_pred))]
-            .push_back(i);
-      }
-    } else {
-      strata.emplace_back();
-      for (size_t i = 0; i < rules_.size(); ++i) strata[0].push_back(i);
+      trip_.deadline = eval_begin_ +
+                       std::chrono::milliseconds(options_.budget.deadline_ms);
     }
 
     // Make sure head relations exist so sizes/deltas are well defined.
@@ -283,27 +158,27 @@ class Engine {
     // its delta loop with the snapshot's watermarks.
     size_t first_stratum = 0;
     if (options_.resume != nullptr) {
-      EXDL_RETURN_IF_ERROR(RestoreCursor(strata.size()));
+      EXDL_RETURN_IF_ERROR(RestoreCursor());
       first_stratum = options_.resume->stratum;
     }
 
     // The input alone may already bust a budget (or the token may be
     // pre-cancelled): stop before deriving anything.
-    if (governed_) CheckRoundBudgets();
+    if (trip_.governed) CheckRoundBudgets();
 
     bool stop = false;
-    for (size_t si = first_stratum; si < strata.size(); ++si) {
-      if (stop || Tripped()) break;
-      EXDL_RETURN_IF_ERROR(RunFixpoint(si, strata[si], &stop));
+    for (size_t si = first_stratum; si < strata_.size(); ++si) {
+      if (stop || trip_.Tripped()) break;
+      EXDL_RETURN_IF_ERROR(RunFixpoint(si, &stop));
     }
 
     // Catch shard contents written since the last round boundary (e.g. the
     // partial work of a discarded round); workers are quiescent here.
-    MergeShards();
+    exec_->MergeShards();
 
     stats_.eval_seconds = resumed_seconds_ + SecondsSince(eval_begin_);
-    const BudgetKind trip = static_cast<BudgetKind>(
-        trip_.load(std::memory_order_relaxed));
+    const BudgetKind trip =
+        static_cast<BudgetKind>(trip_.kind.load(std::memory_order_relaxed));
     if (trip != BudgetKind::kNone) {
       stats_.budget_tripped = trip;
       result.termination = TripStatus(trip);
@@ -342,56 +217,40 @@ class Engine {
   }
 
  private:
+  struct CompiledRule {
+    RulePlan plan;
+    size_t rule_index = 0;
+    /// Head has no registers (0-ary or all-constant): at most one tuple
+    /// can ever be derived, so the first witness suffices (Section 3.1's
+    /// cut) and the rule can retire once the tuple exists.
+    bool single_tuple_head = false;
+    /// Main-plan steps that can carry a semi-naive delta, ascending:
+    /// positive literals over a predicate that grows in the rule's own
+    /// stratum or, on IVM re-entry, over an extra-delta predicate. A delta
+    /// round fires one variant per step.
+    std::vector<size_t> delta_steps;
+    /// Delta-first variant plans, indexed by the MAIN plan's step that the
+    /// variant designates as delta. Each is the same rule recompiled with
+    /// that literal forced to step 0, so the semi-naive delta variant
+    /// scans only the delta suffix and probes the other literals through
+    /// indexes — O(delta) per round, not a full outer-relation scan.
+    /// Entries for step 0 (already outermost) and for steps outside
+    /// delta_steps stay empty.
+    std::vector<RulePlan> delta_plans;
+
+    /// The plan of the semi-naive variant whose delta is main-plan step
+    /// `main_step`: its delta literal is always step 0.
+    const RulePlan& DeltaPlan(size_t main_step) const {
+      if (main_step == 0) return plan;
+      assert(!delta_plans[main_step].steps.empty());
+      return delta_plans[main_step];
+    }
+  };
+
   /// Semi-naive (or naive) fixpoint over one stratum's rules. Relations of
   /// lower strata are fixed; only this stratum's head predicates grow.
-  Status RunFixpoint(size_t stratum_index,
-                     const std::vector<size_t>& rule_indices, bool* stop) {
-    std::vector<PredId> growing;  // this stratum's head predicates
-    growing.reserve(rule_indices.size());
-    for (size_t i : rule_indices) {
-      const PredId p = rules_[i].plan.head_pred;
-      if (std::find(growing.begin(), growing.end(), p) == growing.end()) {
-        growing.push_back(p);
-      }
-    }
-    auto is_growing = [&](PredId p) {
-      return std::find(growing.begin(), growing.end(), p) != growing.end();
-    };
-    // Delta variants are only needed for body literals over predicates
-    // that can still grow; the set is fixed for the whole stratum, so
-    // resolve it once per rule instead of per round.
-    std::vector<std::vector<size_t>> delta_steps_of(rule_indices.size());
-    for (size_t k = 0; k < rule_indices.size(); ++k) {
-      const CompiledRule& cr = rules_[rule_indices[k]];
-      for (size_t s : cr.idb_steps) {
-        if (is_growing(cr.plan.steps[s].pred)) {
-          delta_steps_of[k].push_back(s);
-        }
-      }
-    }
-    // IVM re-entry (DESIGN.md §16): body literals over extra_delta_preds
-    // also read deltas — new EDB facts appended to a maintained database,
-    // which idb_steps cannot name (it only lists derived predicates). Scan
-    // every step: EDB literals are not in idb_steps. Negated steps stay
-    // full reads (anti-joins have no delta semantics), and predicates that
-    // already grow in this stratum keep their single existing variant.
-    if (!options_.extra_delta_preds.empty()) {
-      const std::vector<PredId>& extra = options_.extra_delta_preds;
-      for (size_t k = 0; k < rule_indices.size(); ++k) {
-        const CompiledRule& cr = rules_[rule_indices[k]];
-        for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
-          const LiteralStep& step = cr.plan.steps[s];
-          if (step.negated || is_growing(step.pred)) continue;
-          if (std::find(extra.begin(), extra.end(), step.pred) ==
-              extra.end()) {
-            continue;
-          }
-          delta_steps_of[k].push_back(s);
-        }
-        std::sort(delta_steps_of[k].begin(), delta_steps_of[k].end());
-      }
-    }
-
+  Status RunFixpoint(size_t stratum_index, bool* stop) {
+    const std::vector<size_t>& rule_indices = strata_[stratum_index];
     SizeMap delta_lo;
     bool round0 = true;
     if (options_.resume != nullptr &&
@@ -406,6 +265,9 @@ class Engine {
         delta_lo[pred] = lo;
       }
     }
+    auto grew = [&](PredId pred) {
+      return !DeltaRange(pred, delta_lo).empty();
+    };
     for (;; round0 = false) {
       if (!round0) {
         *stop = ShouldStopOnGroundQuery();
@@ -414,27 +276,18 @@ class Engine {
         // predicate can grow without any rule reading it (e.g. the query
         // head); firing a round for it would flush nothing — semi-naive
         // skips that empty trailing round, naive must keep refiring until
-        // nothing grows at all.
+        // no head predicate of the stratum grows at all.
         bool any_delta = false;
-        if (options_.seminaive) {
-          for (size_t k = 0; k < rule_indices.size() && !any_delta; ++k) {
-            const CompiledRule& cr = rules_[rule_indices[k]];
-            if (retired_.count(cr.rule_index) > 0) continue;
-            for (size_t step : delta_steps_of[k]) {
-              const PredId p = cr.plan.steps[step].pred;
-              if (!DeltaRange(p, delta_lo).empty()) {
-                any_delta = true;
-                break;
-              }
+        for (size_t i : rule_indices) {
+          const CompiledRule& cr = rules_[i];
+          if (!options_.seminaive) {
+            any_delta = grew(cr.plan.head_pred);
+          } else if (retired_.count(cr.rule_index) == 0) {
+            for (size_t step : cr.delta_steps) {
+              any_delta = any_delta || grew(cr.plan.steps[step].pred);
             }
           }
-        } else {
-          for (const auto& [pred, sz] : sizes_) {
-            if (is_growing(pred) && delta_lo[pred] < sz) {
-              any_delta = true;
-              break;
-            }
-          }
+          if (any_delta) break;
         }
         if (!any_delta) break;
         if (options_.max_rounds != 0 &&
@@ -444,8 +297,8 @@ class Engine {
         }
       }
       bool halt = false;
-      EXDL_RETURN_IF_ERROR(RunRound(stratum_index, round0, rule_indices,
-                                    delta_steps_of, delta_lo, &halt));
+      EXDL_RETURN_IF_ERROR(
+          RunRound(stratum_index, round0, rule_indices, delta_lo, &halt));
       if (halt) break;
     }
     return Status::Ok();
@@ -460,36 +313,33 @@ class Engine {
   /// mid-round trip (the partial round is discarded, so the database
   /// stays a consistent prefix of the fixpoint) or a tripped budget.
   Status RunRound(size_t stratum_index, bool round0,
-                  const std::vector<size_t>& rule_indices,
-                  const std::vector<std::vector<size_t>>& delta_steps_of,
-                  SizeMap& delta_lo, bool* halt) {
+                  const std::vector<size_t>& rule_indices, SizeMap& delta_lo,
+                  bool* halt) {
     const Clock::time_point round_begin = Clock::now();
-    round_derivations_.store(0, std::memory_order_relaxed);
+    trip_.round_derivations.store(0, std::memory_order_relaxed);
     {
-      SpanGuard round_span(
-          obs_.t, obs_.t != nullptr ? "round:" + std::to_string(stats_.rounds)
-                                    : std::string());
-      for (size_t k = 0; k < rule_indices.size(); ++k) {
-        const CompiledRule& cr = rules_[rule_indices[k]];
+      SpanGuard round_span(obs_.t, "round:", stats_.rounds);
+      for (size_t i : rule_indices) {
+        const CompiledRule& cr = rules_[i];
         if (!round0 && retired_.count(cr.rule_index) > 0) continue;
-        if (round0 || (!options_.seminaive && !delta_steps_of[k].empty())) {
+        if (round0 || (!options_.seminaive && !cr.delta_steps.empty())) {
           // Round 0, and every naive round, fires over full relations (a
           // rule with no growing body literal can produce nothing new
           // after round 0).
           FireVariant(cr, cr.plan, std::nullopt);
         } else {
-          // One variant per growing body literal: its delta-first plan
-          // scans that literal's delta and probes the pre-round database
-          // for the others.
-          for (size_t step : delta_steps_of[k]) {
+          // One variant per delta step: its delta-first plan scans that
+          // literal's delta and probes the pre-round database for the
+          // others.
+          for (size_t step : cr.delta_steps) {
             const RowRange delta =
                 DeltaRange(cr.plan.steps[step].pred, delta_lo);
             if (!delta.empty()) FireVariant(cr, cr.DeltaPlan(step), delta);
           }
         }
       }
-      if (Tripped()) {
-        DiscardRound();
+      if (trip_.Tripped()) {
+        EndRound();
         *halt = true;
         return Status::Ok();
       }
@@ -500,7 +350,7 @@ class Engine {
     }
     if (!injected_.ok()) return injected_;
     EXDL_RETURN_IF_ERROR(MaybeCheckpoint(stratum_index, delta_lo));
-    *halt = governed_ && CheckRoundBudgets();
+    *halt = trip_.governed && CheckRoundBudgets();
     return Status::Ok();
   }
 
@@ -518,9 +368,9 @@ class Engine {
   /// Validates and installs the resume cursor: restores counters, retired
   /// rules, and charges already-spent wall-clock against the deadline
   /// budget. Called after Compile, before any stratum runs.
-  Status RestoreCursor(size_t num_strata) {
+  Status RestoreCursor() {
     const EvalCursor& c = *options_.resume;
-    if (c.stratum >= num_strata) {
+    if (c.stratum >= strata_.size()) {
       return Status::InvalidArgument(
           "resume cursor stratum out of range for this program");
     }
@@ -530,19 +380,12 @@ class Engine {
       }
       retired_.insert(r);
     }
-    stats_.rounds = c.rounds;
-    stats_.rule_firings = c.rule_firings;
-    stats_.tuples_inserted = c.tuples_inserted;
-    stats_.duplicate_inserts = c.duplicate_inserts;
-    stats_.index_probes = c.index_probes;
-    stats_.rows_matched = c.rows_matched;
-    stats_.rules_retired = c.rules_retired;
-    stats_.max_round_seconds = c.max_round_seconds;
-    resumed_seconds_ = c.eval_seconds;
+    stats_ = c.stats;
+    resumed_seconds_ = c.stats.eval_seconds;
     if (options_.budget.deadline_ms != 0) {
       // The deadline budget is for the whole logical evaluation, not this
       // process: shift it back by the time the checkpointed run spent.
-      deadline_ -= std::chrono::duration_cast<Clock::duration>(
+      trip_.deadline -= std::chrono::duration_cast<Clock::duration>(
           std::chrono::duration<double>(resumed_seconds_));
     }
     return Status::Ok();
@@ -558,21 +401,12 @@ class Engine {
     if (options_.checkpoint_sink == nullptr) return Status::Ok();
     const uint32_t every = std::max(1u, options_.checkpoint_every_rounds);
     if (stats_.rounds % every != 0) return Status::Ok();
-    SpanGuard span(obs_.t, obs_.t != nullptr
-                               ? "checkpoint:" + std::to_string(stats_.rounds)
-                               : std::string());
+    SpanGuard span(obs_.t, "checkpoint:", stats_.rounds);
     const Clock::time_point begin = Clock::now();
     EvalCursor cursor;
     cursor.stratum = static_cast<uint32_t>(stratum_index);
-    cursor.rounds = stats_.rounds;
-    cursor.rule_firings = stats_.rule_firings;
-    cursor.tuples_inserted = stats_.tuples_inserted;
-    cursor.duplicate_inserts = stats_.duplicate_inserts;
-    cursor.index_probes = stats_.index_probes;
-    cursor.rows_matched = stats_.rows_matched;
-    cursor.rules_retired = stats_.rules_retired;
-    cursor.eval_seconds = resumed_seconds_ + SecondsSince(eval_begin_);
-    cursor.max_round_seconds = stats_.max_round_seconds;
+    cursor.stats = stats_;
+    cursor.stats.eval_seconds = resumed_seconds_ + SecondsSince(eval_begin_);
     cursor.delta_lo.assign(delta_lo.begin(), delta_lo.end());
     std::sort(cursor.delta_lo.begin(), cursor.delta_lo.end());
     cursor.retired_rules.reserve(retired_.size());
@@ -591,83 +425,31 @@ class Engine {
     return Status::Ok();
   }
 
- private:
-  /// Minimum outer rows per worker before a variant is worth splitting.
-  static constexpr uint32_t kMinRowsPerWorker = 64;
-  /// Default EvalOptions::pool_min_delta_rows when neither the option nor
-  /// EXDL_POOL_MIN_DELTA_ROWS supplies one (see ResolvePoolMinDeltaRows).
-  static constexpr uint32_t kDefaultPoolMinDeltaRows = 4096;
-  /// Rows between cooperative deadline/cancellation checks inside a round
-  /// (per descent state, so each pool worker checks independently).
-  static constexpr uint32_t kBudgetCheckStride = 1024;
-
-  bool Tripped() const {
-    return trip_.load(std::memory_order_relaxed) != 0;
-  }
-
-  /// Records the first budget trip; later trips lose the race and keep
-  /// the original reason. Safe from any worker thread.
-  void Trip(BudgetKind kind) {
-    uint32_t expected = 0;
-    trip_.compare_exchange_strong(expected, static_cast<uint32_t>(kind),
-                                  std::memory_order_relaxed);
-  }
-
-  /// Trips on cancellation or an expired deadline — the budgets that can
-  /// fire between round boundaries. Returns true if tripped.
-  bool CheckInterrupt() {
-    const EvalBudget& b = options_.budget;
-    if (b.cancellation != nullptr && b.cancellation->cancelled()) {
-      Trip(BudgetKind::kCancelled);
-    } else if (b.deadline_ms != 0 && Clock::now() >= deadline_) {
-      Trip(BudgetKind::kDeadline);
-    }
-    return Tripped();
-  }
-
   /// Round-boundary check of every budget. The database was just flushed,
   /// so tripping here leaves a consistent state. Returns true if tripped.
   bool CheckRoundBudgets() {
-    if (CheckInterrupt()) return true;
+    if (trip_.CheckInterrupt()) return true;
     const EvalBudget& b = options_.budget;
     if (b.max_tuples != 0 && total_tuples_ > b.max_tuples) {
-      Trip(BudgetKind::kTuples);
+      trip_.Trip(BudgetKind::kTuples);
     } else if (b.max_arena_bytes != 0 && arena_bytes_ > b.max_arena_bytes) {
-      Trip(BudgetKind::kArenaBytes);
+      trip_.Trip(BudgetKind::kArenaBytes);
     }
-    return Tripped();
+    return trip_.Tripped();
   }
 
-  /// Mid-round check, counted per descent state: every kBudgetCheckStride
-  /// rows of a governed evaluation, poll cancellation and the deadline
-  /// (tuple/byte totals move at flush time only). Returns true if this
-  /// descent should stop enumerating.
-  bool StrideTripped(DescentState& ws) {
-    if (!governed_ || ++ws.rows_since_check < kBudgetCheckStride) {
-      return false;
-    }
-    ws.rows_since_check = 0;
-    return Tripped() || CheckInterrupt();
-  }
-
-  /// Counts one head derivation against max_derivations_per_round.
-  /// Returns true (after tripping) when the budget is exhausted and the
-  /// derivation must not be buffered.
-  bool RoundDerivationsTripped() {
-    const uint64_t cap = options_.budget.max_derivations_per_round;
-    if (cap == 0 ||
-        round_derivations_.fetch_add(1, std::memory_order_relaxed) < cap) {
-      return false;
-    }
-    Trip(BudgetKind::kRoundDerivations);
-    return true;
-  }
-
-  /// Drops the buffered (partial) round after a mid-round trip.
-  void DiscardRound() {
-    round_buffer_.clear();
-    round_values_.clear();
-    pool_skipped_this_round_ = false;
+  /// Empties the executor's round buffer, folding its join counters into
+  /// the run's — after the flush, or in its place when a mid-round trip or
+  /// an injected fault discards the partial round.
+  void EndRound() {
+    RoundBuffer& round = exec_->round();
+    stats_ += round.stats;
+    rep_stats_.words_scanned += round.words_scanned;
+    round.stats = EvalStats();
+    round.words_scanned = 0;
+    round.facts.clear();
+    round.values.clear();
+    round.pool_skipped = false;
   }
 
   /// Round tail shared by round 0 and the delta rounds: flush the buffered
@@ -677,7 +459,7 @@ class Engine {
     // A fault injected earlier in the round (pool dispatch) means some
     // variants never ran: the buffered partial round must not be flushed.
     if (!injected_.ok()) {
-      DiscardRound();
+      EndRound();
       return;
     }
     // Fault site: arena growth at the flush. An injected failure discards
@@ -686,15 +468,14 @@ class Engine {
     if (FaultPlan::Global().armed() &&
         FaultPlan::Global().ShouldFail("storage.arena_grow")) {
       injected_ = Status::Internal("injected fault at storage.arena_grow");
-      DiscardRound();
+      EndRound();
       return;
     }
-    if (pool_skipped_this_round_) {
-      // At least one variant this round stayed inline because its delta
-      // was under the pool threshold (the metric is how EXPERIMENTS.md E1
-      // shows the gate firing on the chain workloads).
-      pool_skipped_this_round_ = false;
-      if (obs_.t != nullptr) obs_.m->Add(obs_.pool_skipped_rounds, 1);
+    // At least one variant this round stayed inline because its delta was
+    // under the pool threshold (the metric is how EXPERIMENTS.md E1 shows
+    // the gate firing on the chain workloads).
+    if (exec_->round().pool_skipped && obs_.t != nullptr) {
+      obs_.m->Add(obs_.pool_skipped_rounds, 1);
     }
     const uint64_t inserted_before = stats_.tuples_inserted;
     Flush();
@@ -709,13 +490,13 @@ class Engine {
       obs_.m->Observe(obs_.round_seconds_hist, secs);
       obs_.t->trace().SetAttr(round_span, "inserted",
                               static_cast<double>(grew));
-      MergeShards();
+      exec_->MergeShards();
     }
   }
 
-  /// Registers the evaluator's metrics and sizes the per-participant
-  /// shards. Everything must be registered before the shards are created
-  /// (a shard's cell layout is fixed at creation).
+  /// Registers the evaluator's metrics. Everything must be registered
+  /// before the executor creates its partition shards (a shard's cell
+  /// layout is fixed at creation).
   void SetupObs() {
     obs_.t = options_.telemetry;
     if (obs_.t == nullptr) return;
@@ -761,32 +542,10 @@ class Engine {
       obs_.rule_firings[i] = m.Counter("eval.rule.firings", LabelSetOf(i));
       obs_.rule_probes[i] = m.Counter("eval.rule.probes", LabelSetOf(i));
     }
-    shards_.clear();
-    const uint32_t nshards = std::max(1u, options_.num_threads) + 1;
-    shards_.reserve(nshards);
-    for (uint32_t i = 0; i < nshards; ++i) shards_.push_back(m.NewShard());
-    serial_.shard = &shards_[0];
   }
 
   static obs::LabelSet LabelSetOf(size_t rule_index) {
     return {{"rule", std::to_string(rule_index)}};
-  }
-
-  /// Folds every participant shard into the registry. Owner thread only,
-  /// at quiescent points (round boundaries / end of run).
-  void MergeShards() {
-    if (obs_.t == nullptr) return;
-    for (obs::MetricsShard& shard : shards_) obs_.m->Merge(shard);
-  }
-
-  /// Writes this participant's variant counters into its private shard,
-  /// on the participant's own thread — the worker-pool path exercises the
-  /// shard-merge contract instead of funneling through the main thread.
-  void RecordVariantShard(DescentState& ws) {
-    if (ws.shard == nullptr) return;
-    ws.shard->Add(obs_.firings, ws.stats.rule_firings);
-    ws.shard->Add(obs_.probes, ws.stats.index_probes);
-    ws.shard->Add(obs_.rows, ws.stats.rows_matched);
   }
 
   /// The structured error describing a trip, with progress attached.
@@ -822,41 +581,23 @@ class Engine {
     return Status::Ok();
   }
 
-  struct CompiledRule {
-    RulePlan plan;
-    std::vector<size_t> idb_steps;  ///< Step indices over derived predicates.
-    size_t rule_index = 0;
-    /// Head has no registers (0-ary or all-constant): at most one tuple
-    /// can ever be derived, so the first witness suffices (Section 3.1's
-    /// cut) and the rule can retire once the tuple exists.
-    bool single_tuple_head = false;
-    /// Delta-first variant plans, indexed by the MAIN plan's step that the
-    /// variant designates as delta. Each is the same rule recompiled with
-    /// that literal forced to step 0, so the semi-naive delta variant
-    /// scans only the delta suffix and probes the other literals through
-    /// indexes — O(delta) per round, not a full outer-relation scan.
-    /// Entries for step 0 (already outermost) and for steps that never
-    /// carry a delta stay empty.
-    std::vector<RulePlan> delta_plans;
-
-    /// The plan of the semi-naive variant whose delta is main-plan step
-    /// `main_step`: its delta literal is always step 0.
-    const RulePlan& DeltaPlan(size_t main_step) const {
-      if (main_step == 0) return plan;
-      assert(!delta_plans[main_step].steps.empty());
-      return delta_plans[main_step];
-    }
-  };
-
+  /// Plans every rule and its delta-first variants, and groups the rules
+  /// by stratum (one stratum unless negation forces more).
   Status Compile() {
+    Stratification st;
+    if (program_.HasNegation()) {
+      EXDL_ASSIGN_OR_RETURN(st, Stratify(program_));
+    }
+    strata_.resize(static_cast<size_t>(st.num_strata));
     // Head predicates, deduplicated — a handful, so a flat vector beats a
     // hash set on this per-evaluation path.
-    std::vector<PredId> idb;
-    idb.reserve(program_.rules().size());
+    auto contains = [](const std::vector<PredId>& preds, PredId p) {
+      return std::find(preds.begin(), preds.end(), p) != preds.end();
+    };
+    std::vector<PredId> heads;
+    heads.reserve(program_.rules().size());
     for (const Rule& r : program_.rules()) {
-      if (std::find(idb.begin(), idb.end(), r.head.pred) == idb.end()) {
-        idb.push_back(r.head.pred);
-      }
+      if (!contains(heads, r.head.pred)) heads.push_back(r.head.pred);
     }
     rules_.reserve(program_.rules().size());
     for (size_t i = 0; i < program_.rules().size(); ++i) {
@@ -865,12 +606,8 @@ class Engine {
       CompiledRule cr;
       cr.plan = std::move(plan);
       cr.rule_index = i;
-      for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
-        if (std::find(idb.begin(), idb.end(), cr.plan.steps[s].pred) !=
-            idb.end()) {
-          cr.idb_steps.push_back(s);
-        }
-      }
+      const int stratum = st.StratumOf(cr.plan.head_pred);
+      strata_[static_cast<size_t>(stratum)].push_back(i);
       cr.single_tuple_head = true;
       for (const ArgSpec& a : cr.plan.head_args) {
         if (a.kind == ArgSpec::Kind::kReg) cr.single_tuple_head = false;
@@ -880,635 +617,58 @@ class Engine {
       if (!cr.plan.bitset_eligible || options_.record_provenance) {
         ++rep_stats_.fallbacks;
       }
-      // Delta-first variants for every step that can carry a delta in
-      // semi-naive rounds: IDB literals plus (on IVM re-entry) literals
-      // over extra-delta predicates. A step already outermost keeps the
-      // main plan. Forcing a positive literal first only binds variables
-      // earlier, so it compiles wherever the main plan did: a failure is
-      // an engine bug, not a plan to fall back from.
-      if (options_.seminaive) {
-        cr.delta_plans.resize(cr.plan.steps.size());
-        for (size_t s = 1; s < cr.plan.steps.size(); ++s) {
-          const LiteralStep& step = cr.plan.steps[s];
-          if (step.negated) continue;
-          const bool idb_step =
-              std::find(cr.idb_steps.begin(), cr.idb_steps.end(), s) !=
-              cr.idb_steps.end();
-          const bool extra_step =
-              std::find(options_.extra_delta_preds.begin(),
-                        options_.extra_delta_preds.end(),
-                        step.pred) != options_.extra_delta_preds.end();
-          if (!idb_step && !extra_step) continue;
-          PlanOptions delta_opts = options_.plan;
-          delta_opts.first_body_position = step.body_position;
-          Result<RulePlan> delta_plan =
-              CompileRule(program_.rules()[i], delta_opts);
-          if (!delta_plan.ok()) {
-            return Status::Internal("delta-first plan of rule " +
-                                    std::to_string(i) + " failed: " +
-                                    delta_plan.status().ToString());
-          }
-          cr.delta_plans[s] = std::move(*delta_plan);
+      // Delta steps, each past step 0 with its delta-first plan under
+      // semi-naive evaluation. Forcing a positive literal first only
+      // binds variables earlier, so it compiles wherever the main plan
+      // did: a failure is an engine bug, not a plan to fall back from.
+      cr.delta_plans.resize(cr.plan.steps.size());
+      for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
+        const LiteralStep& step = cr.plan.steps[s];
+        const bool grows = contains(heads, step.pred) &&
+                           st.StratumOf(step.pred) == stratum;
+        if (step.negated ||
+            (!grows && !contains(options_.extra_delta_preds, step.pred))) {
+          continue;
         }
+        cr.delta_steps.push_back(s);
+        if (s == 0 || !options_.seminaive) continue;
+        PlanOptions delta_opts = options_.plan;
+        delta_opts.first_body_position = step.body_position;
+        Result<RulePlan> delta_plan =
+            CompileRule(program_.rules()[i], delta_opts);
+        if (!delta_plan.ok()) {
+          return Status::Internal("delta-first plan of rule " +
+                                  std::to_string(i) + " failed: " +
+                                  delta_plan.status().ToString());
+        }
+        cr.delta_plans[s] = std::move(*delta_plan);
       }
       rules_.push_back(std::move(cr));
     }
     return Status::Ok();
   }
 
-  /// Resolves the pool-skip threshold: an explicit option wins, then
-  /// EXDL_POOL_MIN_DELTA_ROWS, then the built-in default. Small semi-naive
-  /// rounds cost more to dispatch to the pool than to run inline — 4096
-  /// delta rows is comfortably past the crossover on the E1 chain
-  /// workloads (see EXPERIMENTS.md E1: T4 was slower than serial before
-  /// this gate).
-  uint32_t ResolvePoolMinDeltaRows() const {
-    if (options_.pool_min_delta_rows != 0) {
-      return options_.pool_min_delta_rows;
-    }
-    // Read (and parse) the environment once per process: getenv scans
-    // environ linearly and this sits in the timed evaluation window of
-    // every Run. Processes honor the variable at startup, like the other
-    // EXDL_* knobs.
-    static const uint32_t env_value = [] {
-      const char* v = std::getenv("EXDL_POOL_MIN_DELTA_ROWS");
-      if (v != nullptr && *v != '\0') {
-        const uint64_t parsed = std::strtoull(v, nullptr, 10);
-        if (parsed != 0) {
-          return static_cast<uint32_t>(
-              std::min<uint64_t>(parsed, UINT32_MAX));
-        }
-      }
-      return kDefaultPoolMinDeltaRows;
-    }();
-    return env_value;
-  }
-
-  /// How many workers a variant should use: 1 (serial) unless threading is
-  /// on, provenance is off, the variant has a partitionable positive
-  /// outermost step, and the outer range is big enough to amortize the
-  /// spawn. Single-tuple heads stay serial (they stop at one witness).
-  uint32_t NumWorkers(const RulePlan& plan, RowRange outer) const {
-    if (options_.num_threads <= 1 || options_.record_provenance) return 1;
-    if (stop_after_first_) return 1;
-    if (plan.steps.empty() || plan.steps[0].negated) return 1;
-    const uint32_t rows = outer.hi - outer.lo;
-    return std::min(options_.num_threads,
-                    std::max(1u, rows / kMinRowsPerWorker));
-  }
-
-  /// Fires one rule variant running `plan`. Step 0 reads `delta` (a
-  /// semi-naive delta suffix of its relation) or, for round 0 and naive
-  /// rounds (nullopt), its whole relation. Every later step reads its
-  /// whole relation: relations only grow at the round's flush, so that is
-  /// the pre-round database. Derivations land in per-worker buffers and
-  /// are appended to round_buffer_ in deterministic (partition) order.
+  /// Hands one rule variant to the executor (see JoinExecutor::Fire).
   void FireVariant(const CompiledRule& cr, const RulePlan& plan,
                    std::optional<RowRange> delta) {
-    if (Tripped()) return;  // budget already blown; finish the round fast
-    if (!injected_.ok()) return;  // fault pending; finish the round fast
+    // Budget blown or fault pending: finish the round fast.
+    if (trip_.Tripped() || !injected_.ok()) return;
     // Existence short-circuit (Section 3.1): a single-tuple head needs one
     // witness ever; skip entirely once the tuple exists.
-    stop_after_first_ = options_.boolean_cut && cr.single_tuple_head;
-    if (stop_after_first_) {
-      const Relation* rel = db_->Find(plan.head_pred);
-      if (rel != nullptr &&
-          rel->ContainsKey(ConstArgsKey{&plan.head_args})) {
-        return;
-      }
-    }
-    step_rels_.assign(plan.steps.size(), nullptr);
-    for (size_t s = 0; s < plan.steps.size(); ++s) {
-      const Relation* rel = db_->Find(plan.steps[s].pred);
-      step_rels_[s] = rel;
-      // An empty positive literal means the variant cannot match; an
-      // empty (or absent) relation under a negated literal is simply a
-      // succeeding anti-join.
-      if ((rel == nullptr || rel->empty()) && !plan.steps[s].negated) return;
-    }
-    RowRange outer{0, 0};
-    if (delta.has_value()) {
-      outer = *delta;
-    } else if (!plan.steps.empty() && step_rels_[0] != nullptr) {
-      outer.hi = static_cast<uint32_t>(step_rels_[0]->size());
-    }
-    current_rule_index_ = cr.rule_index;
-    SpanGuard rule_span(obs_.t,
-                        obs_.t != nullptr
-                            ? "rule:" + std::to_string(cr.rule_index)
-                            : std::string());
-
-    // Resolve each step's (lazily built) index once per variant: the inner
-    // descent loop then probes through cached pointers with no map lookup
-    // or lock. Relations cloned copy-on-write from a shared snapshot stay
-    // payload-shared — the const GetIndex builds (or reuses) the shared
-    // index in place, so concurrent sessions over the same EDB pay for an
-    // index build once.
-    //
-    // Unary membership steps (step.bitset_eligible) never resolve a hash
-    // index: they probe the relation's word-packed bitset instead — full
-    // bits, or for a step 0 that reads a delta suffix, a scratch bitset
-    // built from the arena rows [lo, hi).
-    step_indexes_.assign(plan.steps.size(), nullptr);
-    step_bits_.assign(plan.steps.size(), nullptr);
-    for (size_t s = 0; s < plan.steps.size(); ++s) {
-      const LiteralStep& step = plan.steps[s];
-      const Relation* rel = step_rels_[s];
-      if (rel == nullptr || step.negated || step.index_columns.empty()) {
-        continue;
-      }
-      // Provenance needs row ids, which a membership bit cannot supply;
-      // explain runs resolve the hash index like any other step.
-      if (step.bitset_eligible && !options_.record_provenance &&
-          rel->arity() == 1) {
-        const Relation::View v = rel->view();
-        if (s > 0 || (outer.lo == 0 && outer.hi == v.size())) {
-          step_bits_[s] = v.bits();
-        } else {
-          delta_bits_scratch_.Clear();
-          std::span<const Value> arena = v.Raw();
-          for (uint32_t r = outer.lo; r < outer.hi; ++r) {
-            delta_bits_scratch_.Set(arena[r]);
-          }
-          step_bits_[s] = &delta_bits_scratch_;
-        }
-      } else {
-        step_indexes_[s] = &rel->GetIndex(step.index_columns);
-      }
-    }
-
-    // Pool-skip gate: a semi-naive round whose delta is tiny costs more to
-    // dispatch than to run inline (see EvalOptions::pool_min_delta_rows).
-    uint32_t workers = NumWorkers(plan, outer);
-    if (workers > 1 && delta.has_value() &&
-        outer.hi - outer.lo < pool_min_delta_rows_) {
-      workers = 1;
-      pool_skipped_this_round_ = true;
-    }
-    // Kernel or descent is a per-rule plan fact (DESIGN.md §14); the
-    // kernels have no per-row descent spine, so provenance runs descend.
-    bool kernel = plan.bitset_eligible && !options_.record_provenance &&
-                  !stop_after_first_;
-    if (kernel && !PrepareBitsetVariant(plan)) kernel = false;
-    if (workers <= 1) {
-      serial_.regs.assign(plan.num_regs, 0);
-      if (kernel) {
-        RunBitsetPartition(plan, outer, serial_);
-      } else {
-        serial_.reg_set.assign(plan.num_regs, false);
-        serial_.path.clear();
-        Descend(plan, outer, 0, serial_);
-      }
-      RecordVariantShard(serial_);
-      Drain(serial_);
-      return;
-    }
-
-    // Partition the outermost row range into contiguous chunks, one per
-    // worker. Chunk order == serial scan order, so appending the worker
-    // buffers in chunk order reproduces the serial derivation sequence.
-    const uint32_t lo = outer.lo;
-    const uint32_t total = outer.hi - lo;
-    if (worker_states_.size() < workers) worker_states_.resize(workers);
-    if (obs_.t != nullptr) {
-      // shards_[0] is the serial/main participant; worker w owns w + 1.
-      for (uint32_t w = 0; w < workers; ++w) {
-        worker_states_[w].shard = &shards_[w + 1];
-      }
-    }
-    // Fault site: worker-pool dispatch. Fails the variant before any part
-    // runs, so no worker buffer is left half-filled.
-    if (FaultPlan::Global().armed() &&
-        FaultPlan::Global().ShouldFail("eval.pool_dispatch")) {
-      injected_ = Status::Internal("injected fault at eval.pool_dispatch");
-      return;
-    }
-    if (pool_ == nullptr) {
-      // Never oversubscribe: pool threads beyond the CPUs actually
-      // available to this process only add contention. The partition
-      // count (and therefore every result and counter) still follows
-      // num_threads; with zero extra threads the caller simply claims
-      // all partitions itself, in order.
-      const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-      pool_ = std::make_unique<WorkerPool>(
-          std::min(options_.num_threads, hw) - 1);
-    }
-    pool_->Run(workers, [this, &plan, lo, total, workers, kernel](uint32_t w) {
-      DescentState& ws = worker_states_[w];
-      ws.regs.assign(plan.num_regs, 0);
-      ws.reg_set.assign(plan.num_regs, false);
-      const RowRange part{lo + w * total / workers,
-                          lo + (w + 1) * total / workers};
-      if (part.empty()) return;
-      if (kernel) {
-        RunBitsetPartition(plan, part, ws);
-      } else {
-        Descend(plan, part, 0, ws);
-      }
-      RecordVariantShard(ws);
-    });
-    for (uint32_t w = 0; w < workers; ++w) Drain(worker_states_[w]);
-  }
-
-  /// Builds the pre-/post- unary-probe descriptors of a bitset-eligible
-  /// variant, split around the binary probe step when there is one (no
-  /// binary probe: everything lands in pre_probes_). Returns false when a
-  /// probe's backing bitset is unavailable — provenance resolved indexes
-  /// instead, or a defensive arity mismatch — and the variant must take
-  /// the generic descent.
-  bool PrepareBitsetVariant(const RulePlan& plan) {
-    pre_probes_.clear();
-    post_probes_.clear();
-    for (size_t s = 1; s < plan.steps.size(); ++s) {
-      if (s == plan.binary_probe_step) continue;
-      const LiteralStep& step = plan.steps[s];
-      BitProbe p;
-      p.negated = step.negated;
-      const ArgSpec& a = step.args[0];
-      if (a.kind == ArgSpec::Kind::kConst) {
-        p.const_key = true;
-        p.key_const = a.const_value;
-      } else {
-        p.key_reg = a.reg;
-      }
-      if (step.negated) {
-        // Anti-joins test the full relation (lower stratum: no longer
-        // growing); absent/empty relations pass vacuously with no probe,
-        // exactly like the generic anti-join branch.
-        const Relation* rel = step_rels_[s];
-        p.active = rel != nullptr && !rel->empty();
-        if (p.active) {
-          p.bits = rel->view().bits();
-          if (p.bits == nullptr) return false;
-        }
-      } else {
-        p.bits = step_bits_[s];
-        if (p.bits == nullptr) return false;
-      }
-      (s < plan.binary_probe_step ? pre_probes_ : post_probes_).push_back(p);
-    }
-    return true;
-  }
-
-  /// Buffers one head derivation from the current register file — the
-  /// kernels' equivalent of Descend's emission base case (no provenance:
-  /// kernels never run on explain evaluations). Returns false when the
-  /// per-round derivation budget tripped and the partition must stop.
-  bool EmitHead(const RulePlan& plan, DescentState& ws) {
-    if (RoundDerivationsTripped()) return false;
-    for (const ArgSpec& a : plan.head_args) {
-      ws.values.push_back(a.kind == ArgSpec::Kind::kConst ? a.const_value
-                                                          : ws.regs[a.reg]);
-    }
-    if (ws.open_run != static_cast<size_t>(-1)) {
-      // Every kernel emission in this partition shares pred/len/rule and
-      // the tuples are contiguous in ws.values: extend the open run.
-      ++ws.buffer[ws.open_run].count;
-    } else {
-      PendingFact fact;
-      fact.pred = plan.head_pred;
-      fact.begin = ws.values.size() - plan.head_args.size();
-      fact.len = static_cast<uint32_t>(plan.head_args.size());
-      fact.rule = static_cast<uint32_t>(current_rule_index_);
-      ws.open_run = ws.buffer.size();
-      ws.buffer.push_back(std::move(fact));
-    }
-    ++ws.stats.rule_firings;
-    return true;
-  }
-
-  /// Executes one outer-range partition of a bitset-eligible variant
-  /// (`outer` is this participant's slice of step 0's rows). Shape A —
-  /// unary outer scan, no binary probe — runs word-wise mask kernels and
-  /// replays the arena for emission; Shape B — binary outer scan and/or
-  /// one binary index probe — runs a tight per-row loop over the
-  /// pre-resolved bit probes. Both reproduce the generic descent's
-  /// derivation sequence and counters exactly (DESIGN.md §14).
-  void RunBitsetPartition(const RulePlan& plan, RowRange outer,
-                          DescentState& ws) {
-    ws.open_run = static_cast<size_t>(-1);
-    const Relation::View view = step_rels_[0]->view();
-    if (view.arity() == 1 &&
-        plan.binary_probe_step == static_cast<size_t>(-1)) {
-      RunShapeA(plan, outer, view, ws);
-    } else {
-      RunShapeB(plan, outer, view, ws);
-    }
-  }
-
-  /// Shape A: every surviving binding is a distinct symbol id (the outer
-  /// relation deduplicates), so the whole partition is one bit mask.
-  /// Each unary probe is a word-wise AND / ANDNOT over the mask; counters
-  /// are reconstructed from popcounts (a probe per surviving row, a match
-  /// per survivor after a positive probe — exactly the generic per-row
-  /// counts). Emission replays the arena slice in row order against the
-  /// final mask, so the derivation sequence is the generic one.
-  void RunShapeA(const RulePlan& plan, RowRange outer,
-                 const Relation::View& view, DescentState& ws) {
-    std::span<const Value> arena = view.Raw();
-    std::vector<uint64_t>& mask = ws.mask;
-    size_t words = 0;
-    if (outer.lo == 0 && outer.hi == view.size()) {
-      const UnaryBitset* bits = view.bits();
-      words = bits->num_words();
-      mask.assign(bits->words(), bits->words() + words);
-    } else {
-      mask.clear();
-      for (uint32_t r = outer.lo; r < outer.hi; ++r) {
-        const Value v = arena[r];
-        const size_t w = v / UnaryBitset::kWordBits;
-        if (w >= words) {
-          words = w + 1;
-          mask.resize(words, 0);
-        }
-        mask[w] |= uint64_t{1} << (v % UnaryBitset::kWordBits);
-      }
-    }
-    ws.words_scanned += words;
-    uint64_t survivors = outer.hi - outer.lo;
-    ws.stats.rows_matched += survivors;
-
-    for (const BitProbe& p : pre_probes_) {
-      if (survivors == 0) break;
-      if (p.negated && !p.active) continue;  // vacuous pass, no probe
-      ws.stats.index_probes += survivors;
-      if (p.const_key) {
-        ++ws.words_scanned;
-        const bool hit = p.bits->Test(p.key_const);
-        if (p.negated == hit) {  // positive miss / negated hit: all fail
-          survivors = 0;
-          break;
-        }
-        if (!p.negated) ws.stats.rows_matched += survivors;
-        continue;  // mask unchanged
-      }
-      const uint64_t* pb = p.bits->words();
-      const size_t pw = p.bits->num_words();
-      uint64_t count = 0;
-      for (size_t w = 0; w < words; ++w) {
-        const uint64_t probe_word = w < pw ? pb[w] : 0;
-        mask[w] &= p.negated ? ~probe_word : probe_word;
-        count += std::popcount(mask[w]);
-      }
-      ws.words_scanned += words;
-      if (!p.negated) ws.stats.rows_matched += count;
-      survivors = count;
-    }
-    if (survivors == 0) return;
-
-    const uint32_t reg0 = plan.steps[0].args[0].reg;
-    for (uint32_t r = outer.lo; r < outer.hi; ++r) {
-      const Value v = arena[r];
-      const size_t w = v / UnaryBitset::kWordBits;
-      if (w >= words ||
-          ((mask[w] >> (v % UnaryBitset::kWordBits)) & 1) == 0) {
-        continue;
-      }
-      if (StrideTripped(ws)) return;
-      ws.regs[reg0] = v;
-      if (!EmitHead(plan, ws)) return;
-    }
-  }
-
-  /// Shape B: per outer row, bind the scan registers straight off the
-  /// arena, run the pre-probes as single-bit tests, enumerate the one
-  /// binary index probe (if any) in row-id order binding its fresh
-  /// register, run the post-probes, emit. One probe / one match count per
-  /// generic-descent event, in the generic order.
-  void RunShapeB(const RulePlan& plan, RowRange outer,
-                 const Relation::View& view, DescentState& ws) {
-    std::span<const Value> arena = view.Raw();
-    const uint32_t arity = view.arity();
-    const LiteralStep& outer_step = plan.steps[0];
-    const size_t bp = plan.binary_probe_step;
-    const LiteralStep* bstep =
-        bp == static_cast<size_t>(-1) ? nullptr : &plan.steps[bp];
-    const Relation::Index* bindex = nullptr;
-    std::span<const Value> barena;
-    uint32_t bfree_pos = 0;
-    uint32_t bfree_reg = 0;
-    if (bstep != nullptr) {
-      bindex = step_indexes_[bp];
-      barena = step_rels_[bp]->view().Raw();
-      bfree_pos = bstep->index_columns[0] == 0 ? 1 : 0;
-      bfree_reg = bstep->args[bfree_pos].reg;
-    }
-    auto run_probes = [&](const std::vector<BitProbe>& probes) -> bool {
-      for (const BitProbe& p : probes) {
-        if (p.negated && !p.active) continue;
-        ++ws.stats.index_probes;
-        ++ws.words_scanned;
-        const Value key = p.const_key ? p.key_const : ws.regs[p.key_reg];
-        const bool hit = p.bits->Test(key);
-        if (p.negated == hit) return false;
-        if (!p.negated) ++ws.stats.rows_matched;
-      }
-      return true;
-    };
-    for (uint32_t r = outer.lo; r < outer.hi; ++r) {
-      if (StrideTripped(ws)) return;
-      ++ws.stats.rows_matched;
-      const Value* row = arena.data() + static_cast<size_t>(r) * arity;
-      for (size_t i = 0; i < outer_step.args.size(); ++i) {
-        ws.regs[outer_step.args[i].reg] = row[i];
-      }
-      if (!run_probes(pre_probes_)) continue;
-      if (bstep == nullptr) {
-        if (!EmitHead(plan, ws)) return;
-        continue;
-      }
-      ++ws.stats.index_probes;
-      const Relation::RowIdList* ids =
-          bindex->LookupKey(RegKey{bstep, ws.regs.data()});
-      if (ids == nullptr) continue;
-      for (const uint32_t id : *ids) {
-        ++ws.stats.rows_matched;
-        ws.regs[bfree_reg] = barena[static_cast<size_t>(id) * 2 + bfree_pos];
-        if (!run_probes(post_probes_)) continue;
-        if (!EmitHead(plan, ws)) return;
-      }
-    }
-  }
-
-  /// Folds one worker's stats into the engine's and appends its buffered
-  /// derivations to the round buffer. Called in variant/partition order so
-  /// the flushed insertion order matches serial evaluation.
-  void Drain(DescentState& ws) {
-    if (obs_.t != nullptr) {
-      // Per-rule attribution happens here — per variant, on the main
-      // thread, before the stats fold/reset — so the descent inner loop
-      // carries no instrumentation.
-      obs_.m->Add(obs_.rule_firings[current_rule_index_],
-                  ws.stats.rule_firings);
-      obs_.m->Add(obs_.rule_probes[current_rule_index_],
-                  ws.stats.index_probes);
-    }
-    stats_ += ws.stats;
-    ws.stats = EvalStats();
-    rep_stats_.words_scanned += ws.words_scanned;
-    ws.words_scanned = 0;
-    const size_t base = round_values_.size();
-    round_values_.insert(round_values_.end(), ws.values.begin(),
-                         ws.values.end());
-    for (PendingFact& f : ws.buffer) {
-      f.begin += base;
-      round_buffer_.push_back(std::move(f));
-    }
-    ws.values.clear();
-    ws.buffer.clear();
-    ws.open_run = static_cast<size_t>(-1);
-  }
-
-  /// Returns false when evaluation of this variant should stop (the
-  /// single-tuple head was emitted and one witness suffices). `ws` is this
-  /// worker's private state; when serial it aliases serial_, whose stats
-  /// and buffer are folded into the engine-wide ones by Flush.
-  bool Descend(const RulePlan& plan, RowRange outer, size_t step_idx,
-               DescentState& ws) {
-    if (step_idx == plan.steps.size()) {
-      if (RoundDerivationsTripped()) return false;
-      PendingFact fact;
-      fact.pred = plan.head_pred;
-      fact.begin = ws.values.size();
-      fact.len = static_cast<uint32_t>(plan.head_args.size());
-      fact.rule = static_cast<uint32_t>(current_rule_index_);
-      for (const ArgSpec& a : plan.head_args) {
-        ws.values.push_back(a.kind == ArgSpec::Kind::kConst ? a.const_value
-                                                            : ws.regs[a.reg]);
-      }
-      if (options_.record_provenance) {
-        fact.prov.rule_index = static_cast<int>(current_rule_index_);
-        fact.prov.children = ws.path;
-      }
-      ws.buffer.push_back(std::move(fact));
-      ++ws.stats.rule_firings;
-      return !stop_after_first_;
-    }
-    const LiteralStep& step = plan.steps[step_idx];
-    const Relation* rel = step_rels_[step_idx];
-
-    if (step.negated) {
-      // Anti-join: succeed iff no tuple matches the (fully bound) key.
-      // index_columns covers every position for negated steps, so RegKey
-      // is the whole tuple — membership is tested straight off the
-      // registers, no key vector.
-      bool exists = false;
-      if (rel != nullptr && !rel->empty()) {
-        if (step.args.empty()) {
-          exists = true;  // 0-ary relation holds the empty tuple
-        } else {
-          ++ws.stats.index_probes;
-          exists = rel->ContainsKey(RegKey{&step, ws.regs.data()});
-        }
-      }
-      if (exists) return true;  // this binding fails; keep enumerating
-      return Descend(plan, outer, step_idx + 1, ws);
-    }
-    if (rel == nullptr) return true;
-
-    // Unary membership probe: a bound single argument against an arity-1
-    // relation tests one bit (of the full bitset, or the delta bitset
-    // FireVariant built for a delta step 0) instead of a hash-index
-    // lookup. The counter shape matches the index path exactly: one probe
-    // per binding reaching the step, one matched row per hit (arity-1
-    // dedup means an index group holds at most one row).
-    if (step_bits_[step_idx] != nullptr) {
-      ++ws.stats.index_probes;
-      const ArgSpec& a = step.args[0];
-      const Value key =
-          a.kind == ArgSpec::Kind::kConst ? a.const_value : ws.regs[a.reg];
-      if (!step_bits_[step_idx]->Test(key)) return true;
-      if (StrideTripped(ws)) return false;
-      ++ws.stats.rows_matched;
-      return Descend(plan, outer, step_idx + 1, ws);
-    }
-
-    const Relation::View rv = rel->view();
-    auto process_row = [&](uint32_t row_id) -> bool {
-      if (StrideTripped(ws)) return false;
-      std::span<const Value> row = rv.Scan(row_id);
-      ++ws.stats.rows_matched;
-      // Bind/check arguments; remember which registers this row bound so we
-      // can release them before the next row.
-      size_t bound_here = 0;
-      bool ok = true;
-      for (size_t i = 0; i < step.args.size() && ok; ++i) {
-        const ArgSpec& a = step.args[i];
-        if (a.kind == ArgSpec::Kind::kConst) {
-          ok = row[i] == a.const_value;
-        } else if (ws.reg_set[a.reg]) {
-          ok = row[i] == ws.regs[a.reg];
-        } else {
-          ws.regs[a.reg] = row[i];
-          ws.reg_set[a.reg] = true;
-          ++bound_here;
-        }
-      }
-      bool keep_going = true;
-      if (ok) {
-        if (options_.record_provenance) {
-          ws.path.push_back(TupleRef{step.pred, row_id});
-        }
-        keep_going = Descend(plan, outer, step_idx + 1, ws);
-        if (options_.record_provenance) ws.path.pop_back();
-      }
-      // Unbind: the registers bound by this row are among step.binds
-      // (first occurrences); when !ok we may have bound a prefix only, so
-      // clear precisely what we set.
-      if (bound_here > 0) {
-        for (size_t i = 0; i < step.args.size() && bound_here > 0; ++i) {
-          const ArgSpec& a = step.args[i];
-          if (a.kind == ArgSpec::Kind::kReg && ws.reg_set[a.reg]) {
-            for (uint32_t b : step.binds) {
-              if (b == a.reg) {
-                ws.reg_set[a.reg] = false;
-                --bound_here;
-                break;
-              }
-            }
-          }
-        }
-      }
-      return keep_going;
-    };
-
-    // Step 0 reads the variant's outer range; every later step reads its
-    // whole relation.
-    if (step.index_columns.empty()) {
-      const RowRange range =
-          step_idx == 0 ? outer
-                        : RowRange{0, static_cast<uint32_t>(rv.size())};
-      for (uint32_t row_id = range.lo; row_id < range.hi; ++row_id) {
-        if (!process_row(row_id)) return false;
-      }
-      return true;
-    }
-    const Relation::Index& index = *step_indexes_[step_idx];
-    ++ws.stats.index_probes;
-    const Relation::RowIdList* ids =
-        index.LookupKey(RegKey{&step, ws.regs.data()});
-    if (ids == nullptr) return true;
-    auto it = ids->begin();
-    auto end = ids->end();
-    if (step_idx == 0) {
-      // Row ids are appended in increasing order; binary-search the range.
-      it = std::lower_bound(it, end, outer.lo);
-      end = std::lower_bound(it, end, outer.hi);
-    }
-    for (; it != end; ++it) {
-      if (!process_row(*it)) return false;
-    }
-    return true;
+    const bool stop_after_first = options_.boolean_cut && cr.single_tuple_head;
+    if (stop_after_first && HeadDerived(cr)) return;
+    injected_ = exec_->Fire(*db_, plan, cr.rule_index, stop_after_first, delta);
   }
 
   void Flush() {
-    for (PendingFact& f : round_buffer_) {
+    RoundBuffer& round = exec_->round();
+    for (PendingFact& f : round.facts) {
       // Each entry is a run of f.count tuples (stride f.len) from one
       // rule into one relation; the generic descent buffers runs of 1,
       // kernels one run per partition. Resolve the relation and fold the
       // per-rule telemetry once per run, insert per tuple.
       Relation& rel = db_->GetOrCreate(f.pred, f.len);
-      const Value* base = round_values_.data() + f.begin;
+      const Value* base = round.values.data() + f.begin;
       const bool unary = f.len == 1;
       // Pre-size the arena for kernel runs. Unary only: Reserve on wider
       // relations also pre-sizes the dedup table, which would make the
@@ -1546,8 +706,15 @@ class Engine {
         }
       }
     }
-    round_buffer_.clear();
-    round_values_.clear();
+    EndRound();
+  }
+
+  /// True once the single possible head tuple of a single-tuple-head rule
+  /// exists.
+  bool HeadDerived(const CompiledRule& cr) const {
+    const Relation* rel = db_->Find(cr.plan.head_pred);
+    return rel != nullptr &&
+           rel->ContainsKey(ConstArgsKey{&cr.plan.head_args});
   }
 
   /// Retires rules whose single possible head tuple (0-ary or
@@ -1555,11 +722,10 @@ class Engine {
   void ApplyBooleanCut() {
     if (!options_.boolean_cut) return;
     for (const CompiledRule& cr : rules_) {
-      if (retired_.count(cr.rule_index) > 0) continue;
-      if (!cr.single_tuple_head) continue;
-      const Relation* rel = db_->Find(cr.plan.head_pred);
-      if (rel != nullptr &&
-          rel->ContainsKey(ConstArgsKey{&cr.plan.head_args})) {
+      if (!cr.single_tuple_head || retired_.count(cr.rule_index) > 0) {
+        continue;
+      }
+      if (HeadDerived(cr)) {
         retired_.insert(cr.rule_index);
         ++stats_.rules_retired;
       }
@@ -1586,17 +752,17 @@ class Engine {
   const EvalOptions& options_;
   Database* db_ = nullptr;
   std::vector<CompiledRule> rules_;
+  std::vector<std::vector<size_t>> strata_;  ///< Rule indices per stratum.
   std::unordered_set<size_t> retired_;
   EvalStats stats_;
+  RepresentationStats rep_stats_;
   SizeMap sizes_;  ///< Relation sizes, kept current by Flush.
-  /// Budget state. total_tuples_/arena_bytes_ mirror the database and are
-  /// maintained by Flush; trip_ holds the first BudgetKind that fired
-  /// (0 = none) and is shared with the pool workers; round_derivations_
-  /// counts head tuples buffered in the current round (used only when
-  /// max_derivations_per_round is set).
-  bool governed_ = false;
+  /// Budget state, shared with the executor. total_tuples_/arena_bytes_
+  /// mirror the database and are maintained by Flush.
+  BudgetTrip trip_;
+  uint64_t total_tuples_ = 0;
+  uint64_t arena_bytes_ = 0;
   Clock::time_point eval_begin_;
-  Clock::time_point deadline_;
   /// Wall-clock already spent by the checkpointed run being resumed
   /// (0 for a fresh evaluation); folded into eval_seconds and the
   /// deadline budget.
@@ -1604,76 +770,10 @@ class Engine {
   /// First injected-fault error of this evaluation; non-OK aborts the run
   /// as a hard error right after the current round is discarded.
   Status injected_;
-  uint64_t total_tuples_ = 0;
-  uint64_t arena_bytes_ = 0;
-  std::atomic<uint32_t> trip_{0};
-  std::atomic<uint64_t> round_derivations_{0};
-  DescentState serial_;
-  /// Pool + per-worker states, created on first parallel variant and
-  /// reused across rounds (thread spawns would dominate small rounds).
-  std::unique_ptr<WorkerPool> pool_;
-  std::vector<DescentState> worker_states_;
-  std::vector<PendingFact> round_buffer_;
-  std::vector<Value> round_values_;  ///< Arena backing round_buffer_.
-  /// Per-variant caches: each body step's relation and resolved index,
-  /// filled by FireVariant before descending (shared read-only with the
-  /// pool workers for the variant's duration).
-  std::vector<const Relation*> step_rels_;
-  std::vector<const Relation::Index*> step_indexes_;
-  /// Per-variant: the bitset each unary membership step probes (nullptr
-  /// for every other step). Full relation bits, or delta_bits_scratch_
-  /// when step 0 reads a semi-naive delta suffix.
-  std::vector<const UnaryBitset*> step_bits_;
-  UnaryBitset delta_bits_scratch_;
-  /// Per-variant bitset-kernel probe descriptors, split around the binary
-  /// probe step (read-only to the pool workers for the variant's
-  /// duration, like the caches above).
-  std::vector<BitProbe> pre_probes_;
-  std::vector<BitProbe> post_probes_;
-  RepresentationStats rep_stats_;
-  /// Resolved pool-skip threshold (ResolvePoolMinDeltaRows) and the
-  /// per-round "gate fired" flag FinishRound turns into the
-  /// eval.pool.skipped_rounds metric.
-  uint32_t pool_min_delta_rows_ = 0;
-  bool pool_skipped_this_round_ = false;
-  bool stop_after_first_ = false;
-  size_t current_rule_index_ = 0;
   std::unordered_map<TupleRef, Provenance, TupleRefHash> provenance_;
-
-  /// Telemetry sink pointers and pre-registered metric ids (t == null
-  /// means telemetry is off and every site is a never-taken branch).
-  struct ObsState {
-    obs::Telemetry* t = nullptr;
-    obs::MetricsRegistry* m = nullptr;
-    obs::MetricId firings = 0;
-    obs::MetricId probes = 0;
-    obs::MetricId rows = 0;
-    obs::MetricId rounds_counter = 0;
-    obs::MetricId round_growth_hist = 0;
-    obs::MetricId round_seconds_hist = 0;
-    obs::MetricId tuples_gauge = 0;
-    obs::MetricId arena_bytes_gauge = 0;
-    obs::MetricId rehashes_gauge = 0;
-    obs::MetricId checkpoint_writes = 0;
-    obs::MetricId checkpoint_bytes = 0;
-    obs::MetricId checkpoint_seconds_hist = 0;
-    obs::MetricId pool_skipped_rounds = 0;
-    obs::MetricId rep_bitset_relations_gauge = 0;
-    obs::MetricId rep_words_scanned = 0;
-    obs::MetricId rep_fallbacks = 0;
-    /// Indexed by rule index (== CompiledRule::rule_index).
-    std::vector<obs::MetricId> rule_derived;
-    std::vector<obs::MetricId> rule_duplicates;
-    std::vector<obs::MetricId> rule_firings;
-    std::vector<obs::MetricId> rule_probes;
-    /// Indexed by BudgetKind value; [0] (kNone) unused.
-    obs::MetricId trip_counters[6] = {};
-  };
-  ObsState obs_;
-  /// Per-participant metric shards: [0] = serial/main, [w + 1] = pool
-  /// worker w. Sized once in SetupObs, so the pointers handed to the
-  /// DescentStates stay stable.
-  std::vector<obs::MetricsShard> shards_;
+  EvalObs obs_;
+  /// Created once obs_ is set up (the executor sizes its metric shards).
+  std::optional<JoinExecutor> exec_;
 };
 
 }  // namespace

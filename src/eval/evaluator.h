@@ -102,6 +102,26 @@ struct EvalBudget {
   static EvalBudget FromEnv(EvalBudget base);
 };
 
+/// Work counters. The paper's "duplicate elimination cost" is
+/// `duplicate_inserts`; total facts produced is `rule_firings`.
+struct EvalStats {
+  uint64_t rounds = 0;
+  uint64_t rule_firings = 0;       ///< Head tuples emitted (pre-dedup).
+  uint64_t tuples_inserted = 0;    ///< New tuples admitted.
+  uint64_t duplicate_inserts = 0;  ///< Emitted tuples that already existed.
+  uint64_t index_probes = 0;       ///< Hash-index lookups.
+  uint64_t rows_matched = 0;       ///< Rows enumerated from indexes/scans.
+  uint64_t rules_retired = 0;      ///< Boolean-cut retirements.
+  double eval_seconds = 0;         ///< Wall-clock time inside Evaluate().
+  double max_round_seconds = 0;    ///< Longest single fixpoint round.
+  /// Which budget stopped evaluation early (kNone after convergence).
+  /// `rounds` and `tuples_inserted` then say how far evaluation got.
+  BudgetKind budget_tripped = BudgetKind::kNone;
+
+  EvalStats& operator+=(const EvalStats& o);
+  std::string ToString() const;
+};
+
 /// Exact resume point of a fixpoint, captured at a round boundary (the
 /// database has just been flushed; no partial round is in flight). A
 /// checkpoint persists this next to the database; Evaluate with
@@ -111,18 +131,11 @@ struct EvalCursor {
   /// Index of the stratum the fixpoint was in (strata before it are
   /// complete; strata after it have not started).
   uint32_t stratum = 0;
-  /// Cumulative work counters as of the boundary. eval_seconds is the
-  /// wall-clock already spent — a resumed run's deadline budget is charged
-  /// for it, and its final stats continue from these values.
-  uint64_t rounds = 0;
-  uint64_t rule_firings = 0;
-  uint64_t tuples_inserted = 0;
-  uint64_t duplicate_inserts = 0;
-  uint64_t index_probes = 0;
-  uint64_t rows_matched = 0;
-  uint64_t rules_retired = 0;
-  double eval_seconds = 0;
-  double max_round_seconds = 0;
+  /// Cumulative work counters as of the boundary (budget_tripped is not
+  /// persisted). eval_seconds is the wall-clock already spent — a resumed
+  /// run's deadline budget is charged for it, and its final stats continue
+  /// from these values.
+  EvalStats stats;
   /// Semi-naive delta watermarks: for each predicate of the stratum, the
   /// row id below which tuples are no longer "new". Sorted by PredId so
   /// the encoding is canonical.
@@ -235,26 +248,6 @@ struct EvalOptions {
   /// extraction over the whole relation would make an otherwise O(delta)
   /// maintenance run O(database).
   bool skip_answers = false;
-};
-
-/// Work counters. The paper's "duplicate elimination cost" is
-/// `duplicate_inserts`; total facts produced is `rule_firings`.
-struct EvalStats {
-  uint64_t rounds = 0;
-  uint64_t rule_firings = 0;       ///< Head tuples emitted (pre-dedup).
-  uint64_t tuples_inserted = 0;    ///< New tuples admitted.
-  uint64_t duplicate_inserts = 0;  ///< Emitted tuples that already existed.
-  uint64_t index_probes = 0;       ///< Hash-index lookups.
-  uint64_t rows_matched = 0;       ///< Rows enumerated from indexes/scans.
-  uint64_t rules_retired = 0;      ///< Boolean-cut retirements.
-  double eval_seconds = 0;         ///< Wall-clock time inside Evaluate().
-  double max_round_seconds = 0;    ///< Longest single fixpoint round.
-  /// Which budget stopped evaluation early (kNone after convergence).
-  /// `rounds` and `tuples_inserted` then say how far evaluation got.
-  BudgetKind budget_tripped = BudgetKind::kNone;
-
-  EvalStats& operator+=(const EvalStats& o);
-  std::string ToString() const;
 };
 
 /// Bitset-kernel telemetry for one evaluation (DESIGN.md §14). Kept out

@@ -146,15 +146,15 @@ std::string EncodeDatabase(const Database& db) {
 std::string EncodeCursor(const EvalCursor& cursor) {
   std::string body;
   PutU32(&body, cursor.stratum);
-  PutU64(&body, cursor.rounds);
-  PutU64(&body, cursor.rule_firings);
-  PutU64(&body, cursor.tuples_inserted);
-  PutU64(&body, cursor.duplicate_inserts);
-  PutU64(&body, cursor.index_probes);
-  PutU64(&body, cursor.rows_matched);
-  PutU64(&body, cursor.rules_retired);
-  PutF64(&body, cursor.eval_seconds);
-  PutF64(&body, cursor.max_round_seconds);
+  PutU64(&body, cursor.stats.rounds);
+  PutU64(&body, cursor.stats.rule_firings);
+  PutU64(&body, cursor.stats.tuples_inserted);
+  PutU64(&body, cursor.stats.duplicate_inserts);
+  PutU64(&body, cursor.stats.index_probes);
+  PutU64(&body, cursor.stats.rows_matched);
+  PutU64(&body, cursor.stats.rules_retired);
+  PutF64(&body, cursor.stats.eval_seconds);
+  PutF64(&body, cursor.stats.max_round_seconds);
   PutU64(&body, cursor.delta_lo.size());
   for (const auto& [pred, lo] : cursor.delta_lo) {
     PutU32(&body, pred);
@@ -250,15 +250,15 @@ Status DecodeDatabaseSection(Reader r, Snapshot* snap) {
 Status DecodeCursorSection(Reader r, Snapshot* snap) {
   EvalCursor& cursor = snap->cursor;
   cursor.stratum = r.U32();
-  cursor.rounds = r.U64();
-  cursor.rule_firings = r.U64();
-  cursor.tuples_inserted = r.U64();
-  cursor.duplicate_inserts = r.U64();
-  cursor.index_probes = r.U64();
-  cursor.rows_matched = r.U64();
-  cursor.rules_retired = r.U64();
-  cursor.eval_seconds = r.F64();
-  cursor.max_round_seconds = r.F64();
+  cursor.stats.rounds = r.U64();
+  cursor.stats.rule_firings = r.U64();
+  cursor.stats.tuples_inserted = r.U64();
+  cursor.stats.duplicate_inserts = r.U64();
+  cursor.stats.index_probes = r.U64();
+  cursor.stats.rows_matched = r.U64();
+  cursor.stats.rules_retired = r.U64();
+  cursor.stats.eval_seconds = r.F64();
+  cursor.stats.max_round_seconds = r.F64();
   const uint64_t num_delta = r.U64();
   if (!r.ok || num_delta > r.remaining() / 8) {
     return Corrupt("delta watermarks overrun section");
@@ -290,7 +290,7 @@ Status DecodeCursorSection(Reader r, Snapshot* snap) {
     }
     cursor.retired_rules.push_back(rule);
   }
-  if (cursor.rules_retired != cursor.retired_rules.size()) {
+  if (cursor.stats.rules_retired != cursor.retired_rules.size()) {
     return Corrupt("retired-rule count disagrees with list");
   }
   if (r.remaining() != 0) return Corrupt("trailing bytes in cursor section");

@@ -426,12 +426,6 @@ void QueryService::ProcessOne(Active& item) {
         item.pending.request.cancellation;
   }
   session_options.eval.budget = EvalBudget::FromEnv(session_options.eval.budget);
-  if (!item.pending.request.checkpoint_directory.empty()) {
-    session_options.checkpoint.directory =
-        item.pending.request.checkpoint_directory;
-    session_options.checkpoint.every_rounds =
-        item.pending.request.checkpoint_every_rounds;
-  }
   session_options.telemetry = response.telemetry.get();
   // A standing request's seeding evaluation is observed by the view's
   // support ledger (counting IVM substrate) unless the program is a

@@ -187,8 +187,9 @@ TEST_F(SnapshotTest, CheckpointFileRoundTrips) {
   // The final checkpoint is cut at the last completed round: it carries the
   // converged database and the cumulative cursor.
   EXPECT_TRUE(SameDatabase(snap->db, run.result.db));
-  EXPECT_EQ(snap->cursor.rounds, run.result.stats.rounds);
-  EXPECT_EQ(snap->cursor.tuples_inserted, run.result.stats.tuples_inserted);
+  EXPECT_EQ(snap->cursor.stats.rounds, run.result.stats.rounds);
+  EXPECT_EQ(snap->cursor.stats.tuples_inserted,
+            run.result.stats.tuples_inserted);
   EXPECT_EQ(snap->program_fingerprint, run.fingerprint);
   EXPECT_FALSE(snap->symbols.empty());
   EXPECT_FALSE(snap->preds.empty());
@@ -214,9 +215,59 @@ TEST_F(SnapshotTest, DefaultCursorEdbSnapshotRoundTrips) {
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_TRUE(SameDatabase(snap->db, db));
   EXPECT_EQ(snap->program_fingerprint, 42u);
-  EXPECT_EQ(snap->cursor.rounds, 0u);
-  EXPECT_EQ(snap->cursor.tuples_inserted, 0u);
+  EXPECT_EQ(snap->cursor.stats.rounds, 0u);
+  EXPECT_EQ(snap->cursor.stats.tuples_inserted, 0u);
   EXPECT_EQ(snap->symbols.size(), ctx.NumSymbols());
+}
+
+TEST_F(SnapshotTest, EncodingMatchesGoldenBytes) {
+  // Pins the §11 byte layout. The round-trip tests decode whatever the
+  // encoder wrote, so they cannot see a reordered or dropped field; this
+  // fixed (context, database, cursor) must encode to the checked-in bytes.
+  Context ctx;
+  PredId p = ctx.InternPredicate("p", 1);
+  PredId e = ctx.InternPredicate("e", 2);
+  const Value a = ctx.InternSymbol("a");
+  const Value b = ctx.InternSymbol("b");
+  Database db;
+  db.GetOrCreate(p, 1).Insert(std::vector<Value>{b});
+  db.GetOrCreate(e, 2).Insert(std::vector<Value>{a, b});
+  db.GetOrCreate(e, 2).Insert(std::vector<Value>{b, a});
+  EvalCursor cursor;
+  cursor.stratum = 1;
+  cursor.stats.rounds = 2;
+  cursor.stats.rule_firings = 3;
+  cursor.stats.tuples_inserted = 4;
+  cursor.stats.duplicate_inserts = 5;
+  cursor.stats.index_probes = 6;
+  cursor.stats.rows_matched = 7;
+  cursor.stats.rules_retired = 1;
+  cursor.stats.eval_seconds = 0.5;
+  cursor.stats.max_round_seconds = 0.25;
+  cursor.delta_lo = {{p, 1}, {e, 2}};
+  cursor.retired_rules = {3};
+  const std::string bytes = recovery::EncodeSnapshot(
+      ctx, db, cursor, /*fingerprint=*/0x1122334455667788);
+  // Header, context, database, cursor (stratum, the nine counters,
+  // watermarks, retired rules), fingerprint, CRC32C trailer.
+  static const char kGoldenHex[] =
+      "4558444c534e415001000000000000002001000000000000010000003c000000"
+      "0000000004000000000000000100000070010000006501000000610100000062"
+      "0200000000000000000000000100000000000000010000000200000000000000"
+      "020000003c000000000000000200000000000000000000000100000001000000"
+      "0000000003000000010000000200000002000000000000000200000003000000"
+      "0300000002000000030000007000000000000000010000000200000000000000"
+      "0300000000000000040000000000000005000000000000000600000000000000"
+      "07000000000000000100000000000000000000000000e03f000000000000d03f"
+      "0200000000000000000000000100000001000000020000000100000000000000"
+      "03000000040000000800000000000000887766554433221105a1d2f5";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  EXPECT_EQ(hex, kGoldenHex);
 }
 
 TEST_F(SnapshotTest, EveryTruncationIsCorrupt) {
@@ -274,8 +325,8 @@ TEST_F(SnapshotTest, CadenceHonorsEveryNRounds) {
   ASSERT_TRUE(run.status.ok());
   Result<Snapshot> snap = ReadSnapshotFile(Checkpointer::PathIn(dir));
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->cursor.rounds % 3, 0u);
-  EXPECT_GT(snap->cursor.rounds, 0u);
+  EXPECT_EQ(snap->cursor.stats.rounds % 3, 0u);
+  EXPECT_GT(snap->cursor.stats.rounds, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -418,7 +469,7 @@ TEST_F(RecoveryTest, SnapshotWriteFaultLeavesPreviousCheckpointGood) {
   // complete one (round 2 of 3 attempted).
   Result<Snapshot> snap = ReadSnapshotFile(Checkpointer::PathIn(dir));
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->cursor.rounds, 2u);
+  EXPECT_EQ(snap->cursor.stats.rounds, 2u);
 
   EngineRun ref = RunEngine(ChainSource(60), [](EngineOptions&) {});
   EngineRun resumed = RunEngine(

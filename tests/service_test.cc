@@ -71,7 +71,9 @@ std::vector<std::string> EngineAnswers(const std::string& source,
                                        bool optimize = false) {
   Engine engine;
   EXPECT_TRUE(engine.LoadSource(source).ok());
-  if (optimize) EXPECT_TRUE(engine.Optimize().ok());
+  if (optimize) {
+    EXPECT_TRUE(engine.Optimize().ok());
+  }
   Result<EvalResult> result = engine.Run();
   EXPECT_TRUE(result.ok());
   return AnswerStrings(*engine.ctx(), result->answers);
