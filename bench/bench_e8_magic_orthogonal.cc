@@ -31,8 +31,8 @@ Database MakeEdb(Context* ctx, int n) {
   return edb;
 }
 
-void RunCase(benchmark::State& state, bool existential, bool magic,
-             bool supplementary = false) {
+void RunCase(benchmark::State& state, const char* name, bool existential,
+             bool magic, bool supplementary = false) {
   Setup setup = ParseOrDie(kProgram);
   OptimizerOptions options;
   options.adorn = existential;
@@ -57,25 +57,26 @@ void RunCase(benchmark::State& state, bool existential, bool magic,
   if (optimized->magic_seed) {
     edb = WithSeed(edb, *optimized->magic_seed);
   }
-  EvalStats last;
-  size_t answers = 0;
+  EvalResult best;
   for (auto _ : state) {
-    EvalResult r = EvalOrDie(optimized->program, edb);
-    last = r.stats;
-    answers = r.answers.size();
+    KeepFastest(EvalOrDie(optimized->program, edb), &best);
   }
-  ReportStats(state, last);
-  state.counters["answers"] = static_cast<double>(answers);
+  ReportResult(state, std::string(name) + "/" + std::to_string(state.range(0)),
+               best);
 }
 
-void BM_Plain(benchmark::State& state) { RunCase(state, false, false); }
-void BM_MagicOnly(benchmark::State& state) { RunCase(state, false, true); }
-void BM_ExistentialOnly(benchmark::State& state) {
-  RunCase(state, true, false);
+void BM_Plain(benchmark::State& state) {
+  RunCase(state, "Plain", false, false);
 }
-void BM_Both(benchmark::State& state) { RunCase(state, true, true); }
+void BM_MagicOnly(benchmark::State& state) {
+  RunCase(state, "MagicOnly", false, true);
+}
+void BM_ExistentialOnly(benchmark::State& state) {
+  RunCase(state, "ExistentialOnly", true, false);
+}
+void BM_Both(benchmark::State& state) { RunCase(state, "Both", true, true); }
 void BM_BothSupplementary(benchmark::State& state) {
-  RunCase(state, true, true, /*supplementary=*/true);
+  RunCase(state, "BothSupplementary", true, true, /*supplementary=*/true);
 }
 
 BENCHMARK(BM_Plain)->Arg(128)->Arg(512)->Arg(1024)

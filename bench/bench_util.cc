@@ -153,6 +153,11 @@ Program OptimizeOrDie(const Program& program,
     std::cerr << "bench optimize error: " << optimized.ToString() << "\n";
     std::abort();
   }
+  if (engine.magic_seed()) {
+    // The returned program alone would evaluate without its seed fact.
+    std::cerr << "bench optimize error: bound query was magic-rewritten\n";
+    std::abort();
+  }
   return engine.program().Clone();
 }
 

@@ -27,6 +27,20 @@ struct PhaseScope {
   bool open = false;
 };
 
+/// Why the magic phase does not apply to `program`, or "" when it does.
+/// Magic pays only for a selection: an all-free query would be guarded by
+/// a 0-ary seed that restricts nothing and still costs the magic joins.
+std::string MagicSkipReason(const Program& program) {
+  const Atom& query = *program.query();
+  if (std::none_of(query.args.begin(), query.args.end(),
+                   [](const Term& t) { return t.IsConst(); })) {
+    return "query binds no constant";
+  }
+  if (!program.IsIdb(query.pred)) return "base-predicate query";
+  if (program.HasNegation()) return "negation";
+  return "";
+}
+
 }  // namespace
 
 Result<OptimizedProgram> OptimizeExistential(const Program& program,
@@ -289,6 +303,9 @@ Result<OptimizedProgram> OptimizeExistential(const Program& program,
 
   if (cancelled_before("magic")) return out;
   if (options.apply_magic) {
+    out.report.magic_skipped = MagicSkipReason(out.program);
+  }
+  if (options.apply_magic && out.report.magic_skipped.empty()) {
     PhaseScope phase = begin_phase("magic");
     EXDL_ASSIGN_OR_RETURN(MagicResult magic, MagicRewrite(out.program));
     out.program = std::move(magic.program);

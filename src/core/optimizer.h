@@ -8,10 +8,14 @@
 //        Sagiv's UE test and the optimistic Theorem 5.2 test)
 //     -> retract added unit rules that ended up load-free
 //     -> cleanup
-//   [ -> magic-set rewriting (orthogonal selection pushing) ]
+//     -> magic (bound queries): magic-set rewriting (orthogonal
+//        selection pushing), only when the query binds a constant, its
+//        predicate is derived and the program has no negation
 //
 // Every phase preserves the query answers for all instances of the input
-// (EDB) schema; the tests verify this property on random instances.
+// (EDB) schema; the tests verify this property on random instances. The
+// magic phase does so only together with its seed fact
+// (OptimizedProgram::magic_seed), which the caller adds to the EDB.
 
 #ifndef EXDL_CORE_OPTIMIZER_H_
 #define EXDL_CORE_OPTIMIZER_H_
@@ -38,9 +42,11 @@ struct OptimizerOptions {
   bool delete_rules = true;
   /// Deletion backends; input_preds is filled by the optimizer.
   DeletionOptions deletion;
-  /// Also apply magic sets at the end (selection pushing; Section 1/6's
-  /// orthogonality). Requires constants in the query to be useful.
-  bool apply_magic = false;
+  /// Apply magic sets at the end (selection pushing; Section 1/6's
+  /// orthogonality) to a bound query over a derived predicate of a
+  /// negation-free program. Other programs skip the phase, and
+  /// report.magic_skipped says why. False turns the phase off.
+  bool apply_magic = true;
   /// Example 11's folding heuristic: fold almost-unit rule bodies into
   /// auxiliary predicates, retry deletion, then inline the auxiliaries
   /// away. Off by default (the paper calls the fold "essentially a

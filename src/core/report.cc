@@ -18,6 +18,9 @@ std::string OptimizationReport::ToString() const {
     }
     if (!phase.detail.empty()) out += phase.detail + "\n";
   }
+  if (!magic_skipped.empty()) {
+    out += "magic-set rewriting skipped: " + magic_skipped + "\n";
+  }
   if (optimize_seconds > 0) {
     char buf[48];
     std::snprintf(buf, sizeof(buf), "optimizer wall time: %.3f ms\n",

@@ -80,6 +80,9 @@ struct OptimizationReport {
   size_t deleted_after_folding = 0;
 
   bool magic_applied = false;
+  /// Why the magic phase was skipped ("query binds no constant",
+  /// "base-predicate query", "negation"); empty when it ran or was off.
+  std::string magic_skipped;
 
   /// Wall-clock time spent inside OptimizeExistential.
   double optimize_seconds = 0;

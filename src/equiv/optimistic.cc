@@ -1,6 +1,7 @@
 #include "equiv/optimistic.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -32,6 +33,38 @@ std::vector<Value> ActiveDomain(const Program& program,
   std::vector<Value> out(domain.begin(), domain.end());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Whether some row of the query predicate matches `query` only if a
+/// flexible value stands for a query constant or equals another value
+/// under a repeated query variable. Such a row is a possible answer in a
+/// context that instantiates the frozen rule that way, but ExtractAnswers
+/// (exact matching) drops it.
+bool HasFlexibleOnlyMatch(const Atom& query, const Database& db,
+                          const std::unordered_set<Value>& flexible) {
+  const Relation* rel = db.Find(query.pred);
+  if (rel == nullptr) return false;
+  const Relation::View view = rel->view();
+  for (size_t r = 0; r < view.size(); ++r) {
+    std::span<const Value> row = view.Scan(r);
+    bool exact = true;
+    bool possible = true;
+    std::unordered_map<SymbolId, Value> binding;
+    for (size_t i = 0; i < query.args.size() && possible; ++i) {
+      const Term& t = query.args[i];
+      Value want = row[i];
+      if (t.IsConst()) {
+        want = t.id();
+      } else if (auto [it, fresh] = binding.emplace(t.id(), row[i]); !fresh) {
+        want = it->second;
+      }
+      if (row[i] == want) continue;
+      exact = false;
+      possible = flexible.count(row[i]) > 0 || flexible.count(want) > 0;
+    }
+    if (possible && !exact) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -203,6 +236,9 @@ Result<bool> DeletableUnderOptimisticUqe(const Program& program,
 
   EXDL_ASSIGN_OR_RETURN(Database optimistic,
                         OptimisticFixpoint(without, head_only, opt));
+  if (HasFlexibleOnlyMatch(*program.query(), optimistic, opt.flexible)) {
+    return false;
+  }
   std::vector<std::vector<Value>> optimistic_answers =
       ExtractAnswers(*program.query(), optimistic);
   if (optimistic_answers.empty()) return true;

@@ -439,4 +439,72 @@ TEST_F(CliTest, GrammarCommand) {
   EXPECT_NE(out.find("monadic"), std::string::npos) << out;
 }
 
+/// `exdlc optimize` decides on magic sets by itself and prints the seed
+/// fact when it rewrites, or the reason it skipped.
+class CliMagicTest : public CliTest {
+ protected:
+  std::string Optimize(const std::string& source, int* status) {
+    const std::string path = ::testing::TempDir() + "/cli_test_magic.dl";
+    std::ofstream(path) << source;
+    return RunCommand(Exdlc() + " optimize " + path, status);
+  }
+};
+
+TEST_F(CliMagicTest, BoundQueryIsRewritten) {
+  int status = 0;
+  std::string out = Optimize(
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "?- tc(n0, Y).\n",
+      &status);
+  EXPECT_EQ(DecodeExitCode(status), 0) << out;
+  EXPECT_NE(out.find("magic-set rewriting applied"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("% seed fact: "), std::string::npos) << out;
+  EXPECT_EQ(out.find("skipped"), std::string::npos) << out;
+}
+
+TEST_F(CliMagicTest, FreeQueryPrintsSkipReason) {
+  int status = 0;
+  std::string out = RunCommand(Exdlc() + " optimize " + program_path_, &status);
+  EXPECT_EQ(DecodeExitCode(status), 0) << out;
+  EXPECT_NE(out.find("magic-set rewriting skipped: query binds no constant\n"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("seed fact"), std::string::npos) << out;
+}
+
+TEST_F(CliMagicTest, BasePredicateQueryPrintsSkipReason) {
+  int status = 0;
+  std::string out = Optimize(
+      "tc(X, Y) :- e(X, Y).\n"
+      "?- e(n0, Y).\n",
+      &status);
+  EXPECT_EQ(DecodeExitCode(status), 0) << out;
+  EXPECT_NE(out.find("magic-set rewriting skipped: base-predicate query\n"),
+            std::string::npos)
+      << out;
+}
+
+TEST_F(CliMagicTest, NegationPrintsSkipReason) {
+  int status = 0;
+  std::string out = Optimize(
+      "tc(X, Y) :- e(X, Y), not blocked(Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "?- tc(n0, Y).\n",
+      &status);
+  EXPECT_EQ(DecodeExitCode(status), 0) << out;
+  EXPECT_NE(out.find("magic-set rewriting skipped: negation\n"),
+            std::string::npos)
+      << out;
+}
+
+TEST_F(CliMagicTest, MagicFlagIsRetired) {
+  int status = 0;
+  std::string out =
+      RunCommand(Exdlc() + " optimize " + program_path_ + " --magic", &status);
+  EXPECT_EQ(DecodeExitCode(status), 2) << out;
+  EXPECT_NE(out.find("unknown flag: --magic"), std::string::npos) << out;
+}
+
 }  // namespace

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ast/printer.h"
+#include "core/optimizer.h"
+#include "equiv/random_check.h"
+#include "recovery/fault.h"
+#include "service/answer_text.h"
 #include "testing/test_util.h"
 #include "transform/magic.h"
 
@@ -216,6 +222,194 @@ TEST(SupplementaryMagicTest, SharedPrefixComputedOnce) {
       sup->program, WithSeed(parsed.edb, sup->seed_fact));
   EXPECT_EQ(plain_answers, sup_answers);
   EXPECT_EQ(sup_answers, (std::vector<std::string>{"n2"}));
+}
+
+}  // namespace
+}  // namespace exdl
+
+// The magic column of the default pipeline. Magic sets are the
+// optimizer's last phase for bound queries, so every answer path that
+// optimizes (including e2ebench's reference Engine) runs them; these tests
+// hold them to plain, unoptimized evaluation, which shares no rewrite.
+namespace exdl {
+namespace {
+
+// Instance size: large enough that some rule variants' outer relations
+// split into several pool partitions (64 rows each), small enough that
+// plain evaluation of the random programs' cross products stays cheap.
+constexpr int kDomainSize = 8;
+constexpr int kMaxTuplesPerPred = 80;
+
+std::string Render(const Context& ctx, const EvalResult& result) {
+  return RenderAnswerRows(ctx, result.answers);
+}
+
+/// What the differential test exercised, summed over its seeds.
+struct SeedCoverage {
+  size_t magic_applied = 0;  ///< Backends whose pipeline ran magic sets.
+  uint64_t pool_dispatches = 0;
+};
+
+// A seeded random program whose query binds its first argument to a
+// constant of the EDB's active domain: odd seeds bind the existential
+// wrapper query(c), even seeds bind p0(c, ...) directly. Its answers must
+// be the same plain, through the default pipeline under each deletion
+// backend, and at 1 and 4 threads with every variant on the pool.
+void CheckBoundRandomProgram(uint64_t seed, SeedCoverage* coverage) {
+  ContextPtr ctx = std::make_shared<Context>();
+  testing::RandomProgramOptions program_options;
+  program_options.seed = seed * 7919 + 11;
+  Program program = testing::RandomProgram(ctx, program_options);
+
+  std::vector<PredId> inputs;
+  for (PredId pred : program.EdbPredicates()) inputs.push_back(pred);
+  std::sort(inputs.begin(), inputs.end());
+  Database edb = RandomInstance(ctx.get(), inputs, kDomainSize,
+                                kMaxTuplesPerPred, seed);
+  std::vector<Value> domain;
+  for (const auto& [pred, rel] : edb.relations()) {
+    for (size_t row = 0; row < rel.size(); ++row) {
+      for (Value v : rel.view().Scan(row)) domain.push_back(v);
+    }
+  }
+  std::sort(domain.begin(), domain.end());
+  domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
+  if (domain.empty()) return;
+  const Term bound = Term::Const(domain[seed % domain.size()]);
+
+  Atom query = *program.query();
+  if (seed % 2 == 0) {
+    // The generator's last rule is the wrapper query(Q) :- p0(Q, ...).
+    query = program.rules().back().body[0];
+    for (size_t i = 1; i < query.args.size(); ++i) {
+      query.args[i] = Term::Var(ctx->InternSymbol("A" + std::to_string(i)));
+    }
+  }
+  query.args[0] = bound;
+  program.SetQuery(query);
+
+  const std::string expected =
+      Render(*ctx, testing::MustEval(program, edb));
+  SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + ToString(program));
+
+  struct Backend {
+    const char* name;
+    bool sagiv;
+    bool optimistic;
+  };
+  for (const Backend& backend : {Backend{"summaries", false, false},
+                                 Backend{"sagiv", true, false},
+                                 Backend{"optimistic", false, true}}) {
+    SCOPED_TRACE(backend.name);
+    OptimizerOptions options;
+    options.deletion.use_sagiv = backend.sagiv;
+    options.deletion.use_optimistic = backend.optimistic;
+    options.deletion.optimistic.max_facts = 20000;
+    Result<OptimizedProgram> optimized = OptimizeExistential(program, options);
+    ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+    const OptimizationReport& report = optimized->report;
+    // The query stays bound through the existential phases; only a query
+    // predicate that lost every rule to deletion can skip the phase.
+    if (report.magic_applied) {
+      ASSERT_TRUE(optimized->magic_seed.has_value());
+      ++coverage->magic_applied;
+    } else {
+      EXPECT_EQ(report.magic_skipped, "base-predicate query");
+    }
+    const Database seeded =
+        optimized->magic_seed ? WithSeed(edb, *optimized->magic_seed)
+                              : edb.Clone();
+    for (uint32_t threads : {1u, 4u}) {
+      EvalOptions eval;
+      eval.num_threads = threads;
+      eval.pool_min_delta_rows = 1;
+      // Counts dispatches without ever failing one.
+      ASSERT_TRUE(FaultPlan::Global().Arm("eval.pool_dispatch:4000000000").ok());
+      EvalResult result = testing::MustEval(optimized->program, seeded, eval);
+      coverage->pool_dispatches += FaultPlan::Global().hits();
+      FaultPlan::Global().Disarm();
+      EXPECT_EQ(Render(*ctx, result), expected)
+          << "threads " << threads << "\noptimized:\n"
+          << ToString(optimized->program);
+    }
+  }
+}
+
+TEST(MagicDifferentialTest, BoundRandomProgramsMatchPlainEvaluation) {
+  SeedCoverage total;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    CheckBoundRandomProgram(seed, &total);
+  }
+  // The column is really exercised: most pipelines end in magic sets, and
+  // the 4-thread runs split rule variants across the pool.
+  EXPECT_GE(total.magic_applied, 3u * 150u);
+  EXPECT_GT(total.pool_dispatches, 0u);
+}
+
+// Programs outside the phase's reach compile and report why it skipped.
+// apply_magic is the default; it is set here to say what is asked for.
+Result<OptimizedProgram> OptimizeWithMagic(const Program& program) {
+  OptimizerOptions options;
+  options.apply_magic = true;
+  return OptimizeExistential(program, options);
+}
+
+TEST(MagicSkipTest, FreeQuery) {
+  auto parsed = testing::MustParse(
+      "e(n0, n1). e(n1, n2).\n"
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "?- tc(X, Y).\n");
+  Result<OptimizedProgram> result = OptimizeWithMagic(parsed.program);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const OptimizedProgram& optimized = *result;
+  EXPECT_FALSE(optimized.report.magic_applied);
+  EXPECT_FALSE(optimized.magic_seed.has_value());
+  EXPECT_EQ(optimized.report.magic_skipped, "query binds no constant");
+  EXPECT_EQ(testing::EvalAnswers(optimized.program, parsed.edb),
+            testing::EvalAnswers(parsed.program, parsed.edb));
+}
+
+TEST(MagicSkipTest, BasePredicateQuery) {
+  auto parsed = testing::MustParse(
+      "e(n0, n1). e(n1, n2).\n"
+      "tc(X, Y) :- e(X, Y).\n"
+      "?- e(n0, Y).\n");
+  Result<OptimizedProgram> result = OptimizeWithMagic(parsed.program);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const OptimizedProgram& optimized = *result;
+  EXPECT_FALSE(optimized.report.magic_applied);
+  EXPECT_FALSE(optimized.magic_seed.has_value());
+  EXPECT_EQ(optimized.report.magic_skipped, "base-predicate query");
+  EXPECT_EQ(testing::EvalAnswers(optimized.program, parsed.edb),
+            (std::vector<std::string>{"n1"}));
+}
+
+TEST(MagicSkipTest, StratifiedNegation) {
+  auto parsed = testing::MustParse(
+      "e(n0, n1). e(n1, n2). blocked(n2).\n"
+      "tc(X, Y) :- e(X, Y), not blocked(Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "?- tc(n0, Y).\n");
+  Result<OptimizedProgram> result = OptimizeWithMagic(parsed.program);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const OptimizedProgram& optimized = *result;
+  EXPECT_FALSE(optimized.report.magic_applied);
+  EXPECT_FALSE(optimized.magic_seed.has_value());
+  EXPECT_EQ(optimized.report.magic_skipped, "negation");
+  EXPECT_EQ(testing::EvalAnswers(optimized.program, parsed.edb),
+            testing::EvalAnswers(parsed.program, parsed.edb));
+}
+
+TEST(MagicSkipTest, OffSwitchRecordsNoReason) {
+  auto parsed = testing::MustParse(kBoundTc);
+  OptimizerOptions options;
+  options.apply_magic = false;
+  Result<OptimizedProgram> optimized =
+      OptimizeExistential(parsed.program, options);
+  ASSERT_TRUE(optimized.ok());
+  EXPECT_FALSE(optimized->report.magic_applied);
+  EXPECT_TRUE(optimized->report.magic_skipped.empty());
 }
 
 }  // namespace

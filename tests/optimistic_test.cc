@@ -134,6 +134,30 @@ TEST(OptimisticDeletionTest, StrictlyStrongerThanSagivOnExample6) {
   EXPECT_TRUE(*optimistic);  // UQE says yes
 }
 
+TEST(OptimisticDeletionTest, BoundQueryKeepsItsOnlyRule) {
+  // The frozen head query(q0) may stand for query(n1): q0 is a wildcard,
+  // so matching the query's constant exactly would miss the one answer
+  // this rule derives and wrongly delete it.
+  auto parsed = MustParse(
+      "query(Q) :- p(Q).\n"
+      "p(X) :- e(X).\n"
+      "?- query(n1).\n");
+  Result<bool> deletable = DeletableUnderOptimisticUqe(parsed.program, 0);
+  ASSERT_TRUE(deletable.ok()) << deletable.status().ToString();
+  EXPECT_FALSE(*deletable);
+}
+
+TEST(OptimisticDeletionTest, RepeatedQueryVariableKeepsItsOnlyRule) {
+  // Likewise q0 and q1 may coincide under the query's repeated X.
+  auto parsed = MustParse(
+      "query(A, B) :- p(A, B).\n"
+      "p(X, Y) :- e(X, Y).\n"
+      "?- query(X, X).\n");
+  Result<bool> deletable = DeletableUnderOptimisticUqe(parsed.program, 0);
+  ASSERT_TRUE(deletable.ok()) << deletable.status().ToString();
+  EXPECT_FALSE(*deletable);
+}
+
 TEST(OptimisticDeletionTest, RequiresQuery) {
   auto parsed = MustParse("p(X) :- e(X).\n");
   EXPECT_FALSE(DeletableUnderOptimisticUqe(parsed.program, 0).ok());

@@ -148,10 +148,10 @@ TEST(ProgramCacheTest, KeyChangesWithSemanticsAndPipeline) {
   optimized.optimize = true;
   EXPECT_NE(k0, CompiledProgram::CacheKey(kTcChain, optimized));
 
-  CompileOptions magic = optimized;
-  magic.optimizer.apply_magic = true;
+  CompileOptions no_magic = optimized;
+  no_magic.optimizer.apply_magic = false;
   EXPECT_NE(CompiledProgram::CacheKey(kTcChain, optimized),
-            CompiledProgram::CacheKey(kTcChain, magic));
+            CompiledProgram::CacheKey(kTcChain, no_magic));
 
   EXPECT_NE(k0, CompiledProgram::CacheKey(kReachBoolean, base));
 }

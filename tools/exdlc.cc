@@ -1,9 +1,11 @@
 // exdlc — command-line front end to the ExDatalog optimizer and engine.
 //
-//   exdlc optimize <file> [--sagiv] [--optimistic] [--magic]
+//   exdlc optimize <file> [--sagiv] [--optimistic]
 //                          [--no-adorn] [--no-project] [--no-components]
 //                          [--no-delete] [--trace] [--metrics-json FILE]
-//       Print the optimized program and the per-phase report.
+//       Print the optimized program and the per-phase report. Magic sets
+//       apply by themselves to a bound query (the seed fact is printed as
+//       a comment); otherwise the report says why they were skipped.
 //
 //   exdlc run <file...> [--jobs N] [--naive] [--no-cut] [--optimize]
 //                    [--threads N] [--deadline-ms N] [--max-tuples N]
@@ -200,7 +202,6 @@ constexpr FlagSpec kFlagTable[] = {
     {"--no-delete", false, kCmdOptimize},
     {"--sagiv", false, kCmdOptimize},
     {"--optimistic", false, kCmdOptimize},
-    {"--magic", false, kCmdOptimize},
     // evaluation
     {"--naive", false, kCmdRun},
     {"--no-cut", false, kCmdRun},
@@ -374,7 +375,6 @@ int CmdOptimize(const std::string& path,
   options.optimizer.delete_rules = !HasFlag(flags, "--no-delete");
   options.optimizer.deletion.use_sagiv = HasFlag(flags, "--sagiv");
   options.optimizer.deletion.use_optimistic = HasFlag(flags, "--optimistic");
-  options.optimizer.apply_magic = HasFlag(flags, "--magic");
   options.optimizer.cancellation = &g_interrupted;
   options.collect_telemetry =
       HasFlag(flags, "--trace") || HasFlag(flags, "--metrics-json");
